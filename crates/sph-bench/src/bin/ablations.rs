@@ -28,7 +28,7 @@ use sph_math::Vec3;
 use sph_parents::sphynx;
 use sph_tree::CellGrid;
 
-fn decomposition_ablation(sim: &sph_exa::Simulation) {
+fn decomposition_ablation(sim: &sph_exa::DistributedSimulation) {
     println!("--- ablation 1+2: decomposition × balancing (Evrard distribution) ---");
     let work = sim.per_particle_work().to_vec();
     let zeros = vec![0.0; sim.sys.len()];
@@ -97,7 +97,7 @@ fn timestepping_ablation(particles: usize) {
     println!();
 }
 
-fn gradient_ablation(sim: &sph_exa::Simulation) {
+fn gradient_ablation(sim: &sph_exa::DistributedSimulation) {
     println!("--- ablation 4: IAD vs kernel-derivative gradients (linear field) ---");
     let mut sys = sim.sys.clone();
     let cfg = sim.config;

@@ -21,7 +21,7 @@
 #![allow(clippy::disallowed_methods)]
 
 use sph_bench::{build_evrard_sim, build_square_sim};
-use sph_exa::Simulation;
+use sph_exa::DistributedSimulation;
 use sph_ft::checkpoint::{CheckpointStore, DiskStore};
 use sph_parents::{changa, miniapp, sphflow, sphynx, CodeSetup};
 
@@ -67,7 +67,7 @@ fn main() {
     let args = parse_args();
     let setup = setup_for(&args.code);
 
-    let mut sim: Simulation = if let Some(path) = &args.resume {
+    let mut sim: DistributedSimulation = if let Some(path) = &args.resume {
         let bytes = std::fs::read(path).unwrap_or_else(|e| {
             eprintln!("cannot read checkpoint {path}: {e}");
             std::process::exit(2);
@@ -84,12 +84,9 @@ fn main() {
         );
         // Gravity follows the test case (the square patch is hydro-only;
         // pass --test evrard when resuming an Evrard checkpoint).
-        match (setup.gravity, args.test.as_str()) {
-            (Some(g), "evrard") => {
-                Simulation::resume_with_gravity(sys, setup.sph, g).expect("valid resume")
-            }
-            _ => Simulation::resume(sys, setup.sph).expect("valid resume"),
-        }
+        let gravity = setup.gravity.filter(|_| args.test == "evrard");
+        DistributedSimulation::resume(sys, setup.sph, gravity, Default::default())
+            .expect("valid resume")
     } else {
         match args.test.as_str() {
             "square" => build_square_sim(&setup, args.particles),
@@ -146,5 +143,5 @@ fn main() {
     let c1 = sim.conservation();
     println!("\ncompleted in {:.2}s wall-clock", wall_start.elapsed().as_secs_f64());
     println!("energy drift over the run: {:.3e}", c1.energy_drift(&c0));
-    println!("{}", sim.timers().report());
+    println!("{}", sim.aggregate_timers().report());
 }

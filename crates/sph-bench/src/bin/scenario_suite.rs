@@ -13,15 +13,15 @@
 //!   validation resolution the tolerances are calibrated for)
 //! * `--scenario NAME` run a single scenario
 //! * `--list`          print the scenario catalogue and exit
-//! * `--skip-bitcheck` skip the single-vs-distributed bit-identity check
+//! * `--skip-bitcheck` skip the nranks 1 vs nranks 2 bit-identity check
 //!
 //! Exit code 1 if any scenario fails its registered tolerance (the CI
-//! gate) or diverges between drivers.
+//! gate) or diverges between rank counts.
 // CLI surface: wall-clock progress timing only; never feeds a trajectory.
 #![allow(clippy::disallowed_methods)]
 
 use sph_core::diagnostics::state_fingerprint;
-use sph_scenarios::{run_scenario, DriverKind, Resolution, RunOptions, ScenarioRegistry};
+use sph_scenarios::{run_scenario, Resolution, RunOptions, ScenarioRegistry};
 
 fn main() {
     let mut json_path: Option<String> = None;
@@ -72,11 +72,7 @@ fn main() {
                 continue;
             }
         }
-        let opts = RunOptions {
-            resolution: Resolution { scale },
-            driver: DriverKind::Single,
-            ..Default::default()
-        };
+        let opts = RunOptions { resolution: Resolution { scale }, ..Default::default() };
         let t0 = std::time::Instant::now();
         let run = match run_scenario(sc, &opts) {
             Ok(r) => r,
@@ -115,26 +111,23 @@ fn main() {
         all_ok &= report.passed;
 
         if bitcheck {
-            // Three macro-steps through each driver must agree bit for
-            // bit (the repo-wide determinism contract, extended to every
+            // Three macro-steps at nranks 1 and 2 must agree bit for bit
+            // (the repo-wide determinism contract, extended to every
             // registered workload).
-            let quick = |driver| RunOptions {
+            let quick = |nranks| RunOptions {
                 resolution: Resolution { scale: (scale * 0.5).min(0.5) },
-                driver,
+                nranks,
                 end_time: Some(f64::INFINITY),
                 max_steps: 3,
                 ..Default::default()
             };
-            let single = run_scenario(sc, &quick(DriverKind::Single));
-            let dist = run_scenario(sc, &quick(DriverKind::Distributed { nranks: 2 }));
-            match (single, dist) {
+            match (run_scenario(sc, &quick(1)), run_scenario(sc, &quick(2))) {
                 (Ok(s), Ok(d)) => {
-                    let (fs, fd) = (state_fingerprint(&s.sys), state_fingerprint(&d.sys));
-                    if fs != fd {
-                        println!("    bit-identity single vs distributed: FAIL");
+                    if state_fingerprint(&s.sys) != state_fingerprint(&d.sys) {
+                        println!("    bit-identity nranks 1 vs 2: FAIL");
                         all_ok = false;
                     } else {
-                        println!("    bit-identity single vs distributed: ok");
+                        println!("    bit-identity nranks 1 vs 2: ok");
                     }
                 }
                 (s, d) => {

@@ -9,8 +9,7 @@
 
 use sph_cluster::{MachineModel, ScalingConfig, ScalingRow, StepModelConfig};
 use sph_core::config::SphConfig;
-use sph_core::timestep::TimeStepError;
-use sph_exa::{Simulation, SimulationBuilder};
+use sph_exa::{DistributedBuilder, DistributedError, DistributedSimulation};
 use sph_parents::{CodeSetup, Scenario};
 use sph_scenarios::{evrard_collapse, square_patch, EvrardConfig, SquarePatchConfig};
 
@@ -63,10 +62,10 @@ impl ExperimentScale {
     }
 }
 
-/// Build the rotating-square-patch simulation for a code setup at the
-/// requested particle count (nx = nz = ∛n, as the paper's 100³).
-/// Gravity is off — the square patch is a pure hydrodynamics test.
-pub fn build_square_sim(setup: &CodeSetup, particles: usize) -> Simulation {
+/// Build the single-rank rotating-square-patch simulation for a code
+/// setup at the requested particle count (nx = nz = ∛n, as the paper's
+/// 100³). Gravity is off — the square patch is a pure hydrodynamics test.
+pub fn build_square_sim(setup: &CodeSetup, particles: usize) -> DistributedSimulation {
     let nx = (particles as f64).cbrt().round().max(8.0) as usize;
     let cfg = SquarePatchConfig { nx, nz: nx, gamma: setup.sph.gamma, ..Default::default() };
     let sys = square_patch(&cfg);
@@ -74,13 +73,13 @@ pub fn build_square_sim(setup: &CodeSetup, particles: usize) -> Simulation {
     // sph-lint: allow(panic-path) — bench harness: the scenario builder
     // emits a valid system by construction, and the regenerator binaries
     // want a loud crash, not a threaded error, if that ever breaks.
-    SimulationBuilder::new(sys).config(sph).build().expect("valid square-patch simulation")
+    DistributedBuilder::new(sys).config(sph).build().expect("valid square-patch simulation")
 }
 
-/// Build the Evrard-collapse simulation for a code setup.
+/// Build the single-rank Evrard-collapse simulation for a code setup.
 /// Panics if the setup has no self-gravity (SPH-flow — Table 5 excludes
 /// it from this test).
-pub fn build_evrard_sim(setup: &CodeSetup, particles: usize, seed: u64) -> Simulation {
+pub fn build_evrard_sim(setup: &CodeSetup, particles: usize, seed: u64) -> DistributedSimulation {
     let gravity = setup.gravity.unwrap_or_else(|| {
         // sph-lint: allow(panic-path) — documented contract (see doc
         // comment): asking SPH-flow for self-gravity is a programming
@@ -89,7 +88,7 @@ pub fn build_evrard_sim(setup: &CodeSetup, particles: usize, seed: u64) -> Simul
     });
     let cfg = EvrardConfig { n_target: particles, seed, ..Default::default() };
     let sys = evrard_collapse(&cfg);
-    SimulationBuilder::new(sys)
+    DistributedBuilder::new(sys)
         .config(setup.sph)
         .gravity(gravity)
         .build()
@@ -106,7 +105,7 @@ pub fn wire_experiment(
     scenario: Scenario,
     machine: MachineModel,
     scale: ExperimentScale,
-) -> (Simulation, StepModelConfig) {
+) -> (DistributedSimulation, StepModelConfig) {
     let sim = match scenario {
         Scenario::SquarePatch => build_square_sim(setup, scale.particles),
         Scenario::Evrard => build_evrard_sim(setup, scale.particles, 42),
@@ -127,7 +126,7 @@ pub fn run_scaling_panel(
     scenario: Scenario,
     machine: MachineModel,
     scale: ExperimentScale,
-) -> Result<Vec<ScalingRow>, TimeStepError> {
+) -> Result<Vec<ScalingRow>, DistributedError> {
     let (mut sim, model) = wire_experiment(setup, scenario, machine, scale);
     let mut cfg = ScalingConfig::paper_sweep(scale.max_cores);
     cfg.steps = scale.steps;

@@ -9,8 +9,7 @@
 
 use crate::step_model::{model_step, StepModelConfig, StepTiming, StepWorkload};
 use sph_core::config::TimeStepping;
-use sph_core::timestep::TimeStepError;
-use sph_exa::Simulation;
+use sph_exa::{DistributedError, DistributedSimulation};
 use sph_math::OnlineStats;
 
 /// Sweep configuration.
@@ -56,10 +55,10 @@ pub struct ScalingRow {
 /// per-step timings (outer index = core count) for deeper analysis.
 /// Fails if the underlying physics step fails (e.g. time step collapse).
 pub fn scaling_experiment(
-    sim: &mut Simulation,
+    sim: &mut DistributedSimulation,
     model: &StepModelConfig,
     config: &ScalingConfig,
-) -> Result<(Vec<ScalingRow>, Vec<Vec<StepTiming>>), TimeStepError> {
+) -> Result<(Vec<ScalingRow>, Vec<Vec<StepTiming>>), DistributedError> {
     assert!(!config.core_counts.is_empty() && config.steps > 0);
     let n = sim.sys.len();
     let mut stats: Vec<OnlineStats> = vec![OnlineStats::new(); config.core_counts.len()];
@@ -147,12 +146,12 @@ pub struct WeakScalingRow {
 /// `steps` steps (the problem itself changes size, unlike strong scaling).
 /// Fails if any physics step fails (e.g. time step collapse).
 pub fn weak_scaling_experiment(
-    mut build: impl FnMut(usize) -> Simulation,
+    mut build: impl FnMut(usize) -> DistributedSimulation,
     model: &StepModelConfig,
     core_counts: &[usize],
     particles_per_core: usize,
     steps: usize,
-) -> Result<Vec<WeakScalingRow>, TimeStepError> {
+) -> Result<Vec<WeakScalingRow>, DistributedError> {
     assert!(!core_counts.is_empty() && steps > 0 && particles_per_core > 0);
     let mut rows = Vec::new();
     let mut base_time = None;
@@ -248,7 +247,7 @@ mod tests {
     use sph_core::particles::ParticleSystem;
     use sph_math::{Aabb, Periodicity, SplitMix64, Vec3};
 
-    fn small_sim() -> Simulation {
+    fn small_sim() -> DistributedSimulation {
         let mut rng = SplitMix64::new(11);
         let n = 800;
         let mut x = Vec::new();
@@ -265,7 +264,7 @@ mod tests {
             Periodicity::open(Aabb::unit()),
         );
         let cfg = SphConfig { target_neighbors: 40, max_h_iterations: 4, ..Default::default() };
-        Simulation::new(sys, cfg).unwrap()
+        DistributedSimulation::new(sys, cfg, 1).unwrap()
     }
 
     fn model() -> StepModelConfig {
@@ -319,9 +318,10 @@ mod tests {
                     0.3 / (n as f64).cbrt() * 4.0,
                     Periodicity::open(Aabb::unit()),
                 );
-                Simulation::new(
+                DistributedSimulation::new(
                     sys,
                     SphConfig { target_neighbors: 30, max_h_iterations: 3, ..Default::default() },
+                    1,
                 )
                 .unwrap()
             },

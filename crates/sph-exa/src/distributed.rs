@@ -1,19 +1,19 @@
-//! The multi-rank distributed step driver.
+//! The Algorithm-1 step driver.
 //!
 //! [`DistributedSimulation`] runs Algorithm 1 *per rank* over a domain
 //! decomposition with halo exchange — the structure the paper's mini-app
-//! prescribes for distributed memory — as N in-process ranks. Each rank
-//! owns a subset of the particles; every macro-step executes the
-//! bulk-synchronous supersteps documented in `sph_domain`'s module docs:
-//! halo negotiation, collective h-iteration + density over (owned ∪
-//! ghost), ghost-field refresh between kernels, symmetric forces, a global
-//! dt reduction, kick/drift, and particle migration with periodic
-//! rebalancing.
+//! prescribes for distributed memory — as N in-process ranks; nranks = 1
+//! is the single-rank run. Each rank owns a subset of the particles;
+//! every macro-step executes the bulk-synchronous supersteps documented
+//! in `sph_domain`'s module docs: halo negotiation, collective
+//! h-iteration + density over (owned ∪ ghost), ghost-field refresh
+//! between kernels, symmetric forces, a global dt reduction, kick/drift,
+//! and particle migration with periodic rebalancing.
 //!
 //! # Determinism contract
 //!
-//! The driver is **bit-identical** to the single-rank [`Simulation`] for
-//! any rank count and any `SPH_THREADS`. Three properties make that hold:
+//! A run is **bit-identical** for any rank count and any `SPH_THREADS`.
+//! Three properties make that hold:
 //!
 //! 1. every SPH sum iterates neighbours in ascending *global-index* order
 //!    (the density pass sorts its gather lists; each rank keeps its local
@@ -34,8 +34,10 @@
 //! a replicated global tree (the in-process analogue of the locally
 //! essential tree every distributed gravity code assembles), which keeps
 //! the traversal — and its rounding — identical to the single-rank run.
+//!
+//! Individual (block) time-stepping runs at nranks = 1 only: each substep
+//! evaluates the active subset against its gather lists.
 
-use crate::simulation::StepReport;
 use sph_core::config::{GradientScheme, SphConfig, TimeStepping};
 use sph_core::density::{compute_density, h_growth_bound, NeighborLists};
 use sph_core::diagnostics::Conservation;
@@ -45,7 +47,8 @@ use sph_core::gradients::{compute_iad_matrices, compute_velocity_gradients};
 use sph_core::integrator::{drift, kick};
 use sph_core::particles::ParticleSystem;
 use sph_core::timestep::{
-    finalize_adaptive_dt, finalize_global_dt, per_particle_dt, validate_dts, TimeStepError,
+    active_at_substep, assign_rungs, finalize_adaptive_dt, finalize_global_dt, per_particle_dt,
+    validate_dts, TimeStepError,
 };
 use sph_core::volume::compute_volume_elements;
 use sph_core::StepStats;
@@ -65,17 +68,33 @@ use sph_tree::{
     CellGrid, GravityConfig, GravitySolver, NeighborQuery, Octree, OctreeConfig, TraversalStats,
 };
 
+/// Result of one completed macro time-step.
+#[derive(Debug, Clone, Copy)]
+pub struct StepReport {
+    /// Step index (1-based after the first step).
+    pub step: u64,
+    /// Macro time-step actually taken.
+    pub dt: f64,
+    /// Simulation time after the step.
+    pub time: f64,
+    /// Work statistics accumulated over the step (all substeps).
+    pub stats: StepStats,
+    /// Number of substeps (1 for global/adaptive stepping).
+    pub substeps: u32,
+    /// Mean fraction of particles active per derivative evaluation
+    /// (1.0 for global stepping; < 1 shows the block-time-step saving).
+    pub active_fraction: f64,
+}
+
 /// Why a [`DistributedSimulation`] could not be constructed.
 ///
 /// Typed so callers can distinguish "this configuration is wrong" from
-/// "this configuration is valid but the distributed driver does not
-/// support it yet" — the latter is a capability gap, not a user error,
-/// and a scheduler may fall back to the single-rank [`crate::Simulation`]
-/// on it.
+/// "this configuration is valid but the driver does not support it at
+/// this rank count" — the latter is a capability gap, not a user error.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DistributedBuildError {
-    /// The configured time-stepping policy is valid but not supported by
-    /// the distributed driver.
+    /// The configured time-stepping policy is valid but not supported at
+    /// the requested rank count.
     UnsupportedTimeStepping {
         /// Human name of the requested policy.
         requested: &'static str,
@@ -89,16 +108,16 @@ pub enum DistributedBuildError {
     Invalid(String),
 }
 
-/// The time-stepping policies the distributed driver supports.
-pub const SUPPORTED_TIME_STEPPING: &[&str] = &["Global", "Adaptive"];
+/// The time-stepping policies the driver supports.
+pub const SUPPORTED_TIME_STEPPING: &[&str] =
+    &["Global", "Adaptive", "Individual (single rank only)"];
 
 impl std::fmt::Display for DistributedBuildError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             DistributedBuildError::UnsupportedTimeStepping { requested, supported } => write!(
                 f,
-                "{requested} time-stepping is not supported by the distributed driver; \
-                 supported modes: {}",
+                "{requested} time-stepping is not supported; supported modes: {}",
                 supported.join(", ")
             ),
             DistributedBuildError::BadRankCount { nranks, particles } => {
@@ -203,8 +222,8 @@ pub enum RankPartitioner {
     Sfc(SfcKind),
 }
 
-/// Configuration of the distributed driver itself (the SPH physics lives
-/// in [`SphConfig`], exactly as for the single-rank driver).
+/// Configuration of the rank layout (the SPH physics lives in
+/// [`SphConfig`]).
 #[derive(Debug, Clone, Copy)]
 pub struct DistributedConfig {
     /// Number of in-process ranks.
@@ -301,9 +320,10 @@ impl DistributedBuilder {
         self
     }
 
-    /// Worker threads per parallel loop (see
-    /// [`crate::SimulationBuilder::num_threads`]); the pool is process
-    /// global and results are bit-identical for any setting.
+    /// Worker threads for every parallel loop (0 = the `SPH_THREADS` /
+    /// hardware default). The pool is process-global, so this configures
+    /// *all* simulations, not just the one being built; results are
+    /// bit-identical for any setting thanks to the fixed-chunk reductions.
     pub fn num_threads(mut self, n: usize) -> Self {
         self.num_threads = Some(n);
         self
@@ -396,6 +416,9 @@ struct RankWorkspace {
     locals: Vec<u32>,
     /// Local indices of the owned particles, ascending.
     owned_k: Vec<u32>,
+    /// Local indices of the owned *active* particles, ascending, when the
+    /// evaluation covers a strict subset (`None` = every owned particle).
+    active_k: Option<Vec<u32>>,
     /// `(local index, global id)` of every ghost.
     ghosts: Vec<(u32, u32)>,
     /// The rank's local particle system (extracted owned+ghost state).
@@ -403,9 +426,22 @@ struct RankWorkspace {
     /// Cell grid over the local positions (owned ∪ ghost) — the spatial
     /// structure every SPH pass of the attempt queries.
     grid: Option<CellGrid>,
-    /// Gather lists of the owned particles (from the density pass),
-    /// indexed like `owned_k`.
+    /// Gather lists of the active particles (from the density pass),
+    /// indexed like [`RankWorkspace::active`].
     lists: NeighborLists,
+}
+
+/// Local indices the kernel passes run on: owned ∩ active. A free function
+/// over the two fields so callers can borrow the rest of the workspace
+/// mutably alongside it.
+fn active_of<'a>(owned_k: &'a [u32], active_k: &'a Option<Vec<u32>>) -> &'a [u32] {
+    active_k.as_deref().unwrap_or(owned_k)
+}
+
+impl RankWorkspace {
+    fn active(&self) -> &[u32] {
+        active_of(&self.owned_k, &self.active_k)
+    }
 }
 
 fn partition(
@@ -570,6 +606,67 @@ fn refresh_ghosts(
     Ok(())
 }
 
+/// The symmetric force closure of a rank's owned rows. The pairwise
+/// closure must see every pair from both sides. A ghost's gather set is
+/// recovered with one frozen ball query at its exchanged h (exact, by the
+/// h-iteration's exit invariant and because the final search radius is
+/// within the verified halo radius), then the closure is built locally in
+/// ascending global-id order — identical membership and summation order to
+/// the whole-system `NeighborLists::symmetrized()`. Rows are indexed like
+/// `owned_k`.
+fn symmetric_closure(ws: &RankWorkspace) -> NeighborLists {
+    let n_local = ws.locals.len();
+    if ws.ghosts.is_empty() && ws.owned_k.len() == n_local {
+        // The rank owns its whole local set (always so at nranks = 1):
+        // the CSR builder produces the same closure without the per-row
+        // sort.
+        return ws.lists.symmetrized();
+    }
+    let mut gather: Vec<Vec<u32>> = vec![Vec::new(); n_local];
+    for (q, &k) in ws.owned_k.iter().enumerate() {
+        gather[k as usize] = ws.lists.neighbors(q).to_vec();
+    }
+    // sph-lint: allow(panic-path) — superstep 2 builds a grid for every
+    // rank with local particles, and the caller skips empty ranks; a
+    // missing grid is a driver bug, not an input.
+    let grid = ws.grid.as_ref().expect("non-empty rank has a grid");
+    let mut ts = TraversalStats::default();
+    for &(k, _) in &ws.ghosts {
+        let k = k as usize;
+        let mut out = Vec::new();
+        grid.neighbors_within(ws.sys_l.x[k], SUPPORT_RADIUS * ws.sys_l.h[k], &mut out, &mut ts);
+        out.sort_unstable();
+        gather[k] = out;
+    }
+    // Symmetric closure over the local set (sorted, deduped — the
+    // `symmetrized()` contract). Only the *owned* rows are ever consumed,
+    // so ghost rows are neither cloned nor given reverse edges.
+    let mut is_owned = vec![false; n_local];
+    let mut sym: Vec<Vec<u32>> = vec![Vec::new(); n_local];
+    for &k in &ws.owned_k {
+        is_owned[k as usize] = true;
+        sym[k as usize] = gather[k as usize].clone();
+    }
+    for (k, list) in gather.iter().enumerate() {
+        for &j in list {
+            if j as usize != k && is_owned[j as usize] {
+                sym[j as usize].push(k as u32);
+            }
+        }
+    }
+    let rows: Vec<Vec<u32>> = ws
+        .owned_k
+        .iter()
+        .map(|&k| {
+            let s = &mut sym[k as usize];
+            s.sort_unstable();
+            s.dedup();
+            std::mem::take(s)
+        })
+        .collect();
+    NeighborLists::from_lists(rows)
+}
+
 impl DistributedSimulation {
     fn assemble(
         sys: ParticleSystem,
@@ -582,13 +679,12 @@ impl DistributedSimulation {
     ) -> Result<Self, DistributedBuildError> {
         // Every construction path (builder *and* checkpoint restore) must
         // reject what the driver cannot run — a restore with an invalid or
-        // Individual-stepping config would otherwise silently integrate
-        // with Global semantics.
+        // multi-rank Individual-stepping config would otherwise fail later.
         config.validate().map_err(DistributedBuildError::Invalid)?;
         sys.sanity_check().map_err(DistributedBuildError::Invalid)?;
-        if matches!(config.time_stepping, TimeStepping::Individual { .. }) {
+        if dist.nranks > 1 && matches!(config.time_stepping, TimeStepping::Individual { .. }) {
             return Err(DistributedBuildError::UnsupportedTimeStepping {
-                requested: "individual (block)",
+                requested: "multi-rank individual (block)",
                 supported: SUPPORTED_TIME_STEPPING,
             });
         }
@@ -632,6 +728,25 @@ impl DistributedSimulation {
         nranks: usize,
     ) -> Result<Self, DistributedBuildError> {
         DistributedBuilder::new(sys).config(config).nranks(nranks).build()
+    }
+
+    /// Resume from a state whose accelerations and energy derivatives are
+    /// valid (the `sph-ft` codec persists them). The next step reuses them
+    /// for its first half-kick, exactly as the original run would have —
+    /// restarts are therefore bit-exact.
+    pub fn resume(
+        sys: ParticleSystem,
+        config: SphConfig,
+        gravity: Option<GravityConfig>,
+        dist: DistributedConfig,
+    ) -> Result<Self, DistributedBuildError> {
+        let mut b = DistributedBuilder::new(sys).config(config).distributed(dist);
+        if let Some(g) = gravity {
+            b = b.gravity(g);
+        }
+        let mut sim = b.build()?;
+        sim.derivatives_fresh = true;
+        Ok(sim)
     }
 
     /// The current ownership assignment.
@@ -710,7 +825,7 @@ impl DistributedSimulation {
     }
 
     /// Conservation snapshot over the global state (includes gravity when
-    /// enabled). Bit-identical to the single-rank diagnostics.
+    /// enabled). Bit-identical for any rank count.
     pub fn conservation(&self) -> Conservation {
         let phi = self.gravity.is_some().then_some(self.phi.as_slice());
         Conservation::measure(&self.sys, phi)
@@ -721,8 +836,10 @@ impl DistributedSimulation {
     // ---------------------------------------------------------------
 
     /// Build each rank's workspace for one density attempt: local id set,
-    /// extracted local system, and the octree over local positions.
-    fn build_workspaces(&self, halos: &HaloExchange) -> Vec<RankWorkspace> {
+    /// extracted local system, the cell grid over local positions, and —
+    /// for a strict `active` subset (ascending global ids) — the owned
+    /// active local indices.
+    fn build_workspaces(&self, halos: &HaloExchange, active: Option<&[u32]>) -> Vec<RankWorkspace> {
         (0..self.dist.nranks)
             .map(|r| {
                 let owned = &self.owned[r];
@@ -754,6 +871,21 @@ impl DistributedSimulation {
                         })
                         .collect()
                 };
+                // Both lists ascend in global id: one merge walk.
+                let active_k = active.map(|act| {
+                    let mut out = Vec::with_capacity(act.len().min(owned_k.len()));
+                    let mut ai = 0;
+                    for &k in &owned_k {
+                        let g = locals[k as usize];
+                        while ai < act.len() && act[ai] < g {
+                            ai += 1;
+                        }
+                        if ai < act.len() && act[ai] == g {
+                            out.push(k);
+                        }
+                    }
+                    out
+                });
                 let sys_l = self.sys.subset(&locals);
                 let grid = (!locals.is_empty()).then(|| {
                     self.timers[r].time(Phase::TreeBuild, || {
@@ -767,6 +899,7 @@ impl DistributedSimulation {
                 RankWorkspace {
                     locals,
                     owned_k,
+                    active_k,
                     ghosts,
                     sys_l,
                     grid,
@@ -780,11 +913,21 @@ impl DistributedSimulation {
     // The distributed derivative evaluation (Algorithm 1, steps 1–4)
     // ---------------------------------------------------------------
 
-    /// Evaluate all derivatives for every owned particle on its owner.
-    /// Exchange failures surface as `Err` with the state as of the failed
-    /// superstep — the recovery layer rolls back; the driver itself never
-    /// retries a non-transient fault.
-    fn evaluate_derivatives(&mut self) -> Result<StepStats, ExchangeError> {
+    /// Evaluate all derivatives (Algorithm 1 steps 1–4) for every owned
+    /// particle on its owner. Exchange failures surface as `Err` with the
+    /// state as of the failed superstep — the recovery layer rolls back;
+    /// the driver itself never retries a non-transient fault.
+    pub fn evaluate_derivatives(&mut self) -> Result<StepStats, ExchangeError> {
+        self.evaluate_active(None)
+    }
+
+    /// [`DistributedSimulation::evaluate_derivatives`] restricted to the
+    /// `active` global ids (ascending; `None` = every particle). A strict
+    /// subset runs every pass on owned ∩ active and takes its forces from
+    /// the gather lists, as block-stepping codes do; the full system uses
+    /// the symmetric closure (exact pairwise conservation).
+    fn evaluate_active(&mut self, active: Option<&[u32]>) -> Result<StepStats, ExchangeError> {
+        let active = active.filter(|a| a.len() < self.sys.len());
         let nranks = self.dist.nranks;
         let retries = self.dist.exchange_retries;
         let mut stats = StepStats::default();
@@ -821,22 +964,17 @@ impl DistributedSimulation {
             });
             self.log.ghosts_imported += halos.total_volume() as u64;
             self.log.density_attempts += 1;
-            let mut wss = self.build_workspaces(&halos);
+            let mut wss = self.build_workspaces(&halos, active);
             let mut attempt = StepStats::default();
             let mut per_rank_measured = vec![0.0f64; nranks];
             for (r, ws) in wss.iter_mut().enumerate() {
                 let Some(grid) = &ws.grid else { continue };
-                if ws.owned_k.is_empty() {
+                let act = active_of(&ws.owned_k, &ws.active_k);
+                if act.is_empty() {
                     continue;
                 }
                 let (lists, dstats) = self.timers[r].time(Phase::Density, || {
-                    compute_density(
-                        &mut ws.sys_l,
-                        grid,
-                        self.kernel.as_ref(),
-                        &self.config,
-                        &ws.owned_k,
-                    )
+                    compute_density(&mut ws.sys_l, grid, self.kernel.as_ref(), &self.config, act)
                 });
                 ws.lists = lists;
                 per_rank_measured[r] = dstats.max_search_radius;
@@ -844,7 +982,7 @@ impl DistributedSimulation {
             }
             // Owners publish the adapted h, ρ, Ω.
             for ws in &wss {
-                for &k in &ws.owned_k {
+                for &k in ws.active() {
                     let g = ws.locals[k as usize] as usize;
                     self.sys.h[g] = ws.sys_l.h[k as usize];
                     self.sys.rho[g] = ws.sys_l.rho[k as usize];
@@ -912,7 +1050,8 @@ impl DistributedSimulation {
         )?;
         let iad = self.config.gradients == GradientScheme::Iad;
         for (r, ws) in wss.iter_mut().enumerate() {
-            if ws.owned_k.is_empty() {
+            let act = active_of(&ws.owned_k, &ws.active_k);
+            if act.is_empty() {
                 continue;
             }
             self.timers[r].time(Phase::Gradients, || {
@@ -921,12 +1060,12 @@ impl DistributedSimulation {
                     &ws.lists,
                     self.kernel.as_ref(),
                     &self.config,
-                    &ws.owned_k,
+                    act,
                 );
             });
         }
         for ws in &wss {
-            for &k in &ws.owned_k {
+            for &k in ws.active() {
                 let g = ws.locals[k as usize] as usize;
                 self.sys.vol[g] = ws.sys_l.vol[k as usize];
                 self.sys.rho[g] = ws.sys_l.rho[k as usize]; // generalized VE rewrites ρ
@@ -942,20 +1081,16 @@ impl DistributedSimulation {
         )?;
         if iad {
             for (r, ws) in wss.iter_mut().enumerate() {
-                if ws.owned_k.is_empty() {
+                let act = active_of(&ws.owned_k, &ws.active_k);
+                if act.is_empty() {
                     continue;
                 }
                 self.timers[r].time(Phase::Gradients, || {
-                    compute_iad_matrices(
-                        &mut ws.sys_l,
-                        &ws.lists,
-                        self.kernel.as_ref(),
-                        &ws.owned_k,
-                    );
+                    compute_iad_matrices(&mut ws.sys_l, &ws.lists, self.kernel.as_ref(), act);
                 });
             }
             for ws in &wss {
-                for &k in &ws.owned_k {
+                for &k in ws.active() {
                     let g = ws.locals[k as usize] as usize;
                     self.sys.c_iad[g] = ws.sys_l.c_iad[k as usize];
                 }
@@ -971,7 +1106,9 @@ impl DistributedSimulation {
         }
         // EOS is a pure per-particle function of (ρ, u): each rank applies
         // it to its whole local set, which reproduces the owner's p and cs
-        // for every ghost bit-for-bit — an exchange with zero payload.
+        // for every ghost bit-for-bit — an exchange with zero payload. Every
+        // owned particle publishes, active or not, so an inactive particle's
+        // p and cs track its kicked u.
         for (r, ws) in wss.iter_mut().enumerate() {
             if ws.locals.is_empty() {
                 continue;
@@ -989,7 +1126,8 @@ impl DistributedSimulation {
             }
         }
         for (r, ws) in wss.iter_mut().enumerate() {
-            if ws.owned_k.is_empty() {
+            let act = active_of(&ws.owned_k, &ws.active_k);
+            if act.is_empty() {
                 continue;
             }
             self.timers[r].time(Phase::Gradients, || {
@@ -998,12 +1136,12 @@ impl DistributedSimulation {
                     &ws.lists,
                     self.kernel.as_ref(),
                     self.config.gradients,
-                    &ws.owned_k,
+                    act,
                 );
             });
         }
         for ws in &wss {
-            for &k in &ws.owned_k {
+            for &k in ws.active() {
                 let g = ws.locals[k as usize] as usize;
                 self.sys.div_v[g] = ws.sys_l.div_v[k as usize];
                 self.sys.curl_v[g] = ws.sys_l.curl_v[k as usize];
@@ -1018,88 +1156,35 @@ impl DistributedSimulation {
             GhostFields::DivCurl,
         )?;
 
-        // --- Superstep 4: symmetric forces ---
-        // The pairwise closure must see every pair from both sides. A
-        // ghost's gather set is recovered with one frozen ball query at
-        // its exchanged h (exact, by the h-iteration's exit invariant and
-        // because the final search radius is within the verified halo
-        // radius), then the closure is built locally in ascending
-        // global-id order — identical membership and summation order to
-        // the single-rank `NeighborLists::symmetrized()`.
+        // --- Superstep 4: forces ---
+        // The full system uses the symmetric closure (see
+        // `symmetric_closure`); a strict active subset keeps its gather
+        // lists, as block-stepping codes do.
         for (r, ws) in wss.iter_mut().enumerate() {
-            if ws.owned_k.is_empty() {
+            if ws.active().is_empty() {
                 continue;
             }
-            let (force_lists, pairs) = self.timers[r].time(Phase::Momentum, || {
-                let n_local = ws.locals.len();
-                let mut gather: Vec<Vec<u32>> = vec![Vec::new(); n_local];
-                for (q, &k) in ws.owned_k.iter().enumerate() {
-                    gather[k as usize] = ws.lists.neighbors(q).to_vec();
-                }
-                // sph-lint: allow(panic-path) — superstep 2 builds a grid for
-                // every rank with owned particles, and this loop skips empty
-                // ranks above; a missing grid is a driver bug, not an input.
-                let grid = ws.grid.as_ref().expect("non-empty rank has a grid");
-                let mut ts = TraversalStats::default();
-                for &(k, _) in &ws.ghosts {
-                    let k = k as usize;
-                    let mut out = Vec::new();
-                    grid.neighbors_within(
-                        ws.sys_l.x[k],
-                        SUPPORT_RADIUS * ws.sys_l.h[k],
-                        &mut out,
-                        &mut ts,
-                    );
-                    out.sort_unstable();
-                    gather[k] = out;
-                }
-                // Symmetric closure over the local set (sorted, deduped —
-                // the `symmetrized()` contract). Only the *owned* rows are
-                // ever consumed, so ghost rows are neither cloned nor given
-                // reverse edges.
-                let mut is_owned = vec![false; n_local];
-                let mut sym: Vec<Vec<u32>> = vec![Vec::new(); n_local];
-                for &k in &ws.owned_k {
-                    is_owned[k as usize] = true;
-                    sym[k as usize] = gather[k as usize].clone();
-                }
-                for (k, list) in gather.iter().enumerate() {
-                    for &j in list {
-                        if j as usize != k && is_owned[j as usize] {
-                            sym[j as usize].push(k as u32);
-                        }
-                    }
-                }
-                let rows: Vec<Vec<u32>> = ws
-                    .owned_k
-                    .iter()
-                    .map(|&k| {
-                        let s = &mut sym[k as usize];
-                        s.sort_unstable();
-                        s.dedup();
-                        std::mem::take(s)
-                    })
-                    .collect();
-                let force_lists = NeighborLists::from_lists(rows);
+            let (closure, pairs) = self.timers[r].time(Phase::Momentum, || {
+                let closure = ws.active_k.is_none().then(|| symmetric_closure(ws));
+                let force_lists = closure.as_ref().unwrap_or(&ws.lists);
+                let act = active_of(&ws.owned_k, &ws.active_k);
                 let pairs = compute_forces(
                     &mut ws.sys_l,
-                    &force_lists,
+                    force_lists,
                     self.kernel.as_ref(),
                     &self.config,
-                    &ws.owned_k,
+                    act,
                 );
-                (force_lists, pairs)
+                (closure, pairs)
             });
             stats.sph_interactions += pairs;
-            for &k in &ws.owned_k {
+            let force_lists = closure.as_ref().unwrap_or(&ws.lists);
+            for (q, &k) in ws.active().iter().enumerate() {
                 let g = ws.locals[k as usize] as usize;
                 self.sys.a[g] = ws.sys_l.a[k as usize];
                 self.sys.du_dt[g] = ws.sys_l.du_dt[k as usize];
-            }
-            // Per-particle SPH work, exactly as the single-rank driver
-            // accounts it (gravity work is overwritten below when on).
-            for (q, &k) in ws.owned_k.iter().enumerate() {
-                let g = ws.locals[k as usize] as usize;
+                // Per-particle SPH work: density + force ≈ 2× the
+                // neighbour count (gravity work is added below when on).
                 let sph = 2.0 * force_lists.neighbors(q).len() as f64;
                 self.per_particle_work[g] = sph.max(2.0);
             }
@@ -1123,17 +1208,21 @@ impl DistributedSimulation {
             let solver = GravitySolver::new(&gtree, &self.sys.m, gcfg);
             let replicated_moments = t0.elapsed().as_secs_f64();
             let mut merged = TraversalStats::default();
-            for r in 0..self.dist.nranks {
+            for (r, ws) in wss.iter().enumerate() {
                 // Every rank replicates the tree build in a real code.
                 self.timers[r].add(Phase::TreeBuild, replicated_build);
                 self.timers[r].add(Phase::Gravity, replicated_moments);
-                let owned = &self.owned[r];
+                // The owned ∩ active global ids (a copy only for a subset).
+                let active_ids: Option<Vec<u32>> = ws
+                    .active_k
+                    .as_ref()
+                    .map(|act| act.iter().map(|&k| ws.locals[k as usize]).collect());
+                let owned = active_ids.as_deref().unwrap_or(&self.owned[r]);
                 if owned.is_empty() {
                     continue;
                 }
-                // Chunked map over fixed REDUCE_CHUNK boundaries, mirroring
-                // the single-rank gravity phase, so the rank's threads all
-                // participate and the per-rank Gravity seconds fed to
+                // Chunked map over fixed REDUCE_CHUNK boundaries, so the
+                // rank's threads all participate and the per-rank Gravity seconds fed to
                 // `calibrate_machine` reflect the same threaded execution
                 // the model assumes. `field_at` is a pure per-particle
                 // function, so parallelism cannot change a bit.
@@ -1170,9 +1259,6 @@ impl DistributedSimulation {
                     for (i, s, work) in rows {
                         self.sys.a[i] += s.accel;
                         self.phi[i] = s.potential;
-                        // Same two addends as the single-rank accounting
-                        // (gravity + SPH); addition of two f64s commutes
-                        // exactly, so the order difference is bit-free.
                         self.per_particle_work[i] += work as f64;
                     }
                 }
@@ -1188,10 +1274,10 @@ impl DistributedSimulation {
     // The macro-step driver (Algorithm 1, steps 5–6 + migration)
     // ---------------------------------------------------------------
 
-    /// Execute one macro time-step. Pathological time-step states surface
-    /// as [`TimeStepError`] (naming the offending *global* particle id)
-    /// instead of aborting every rank; the state is left as of the failed
-    /// criterion evaluation.
+    /// Execute one macro time-step (Algorithm 1 steps 1–6). Pathological
+    /// time-step states surface as [`TimeStepError`] (naming the offending
+    /// *global* particle id) instead of aborting every rank; the state is
+    /// left as of the failed criterion evaluation.
     pub fn step(&mut self) -> Result<StepReport, DistributedError> {
         self.exchange.begin_step(self.sys.step_count);
         let mut stats = StepStats::default();
@@ -1220,7 +1306,10 @@ impl DistributedSimulation {
             TimeStepping::Adaptive { growth_limit } => {
                 finalize_adaptive_dt(reduced, self.dt_prev, growth_limit)
             }
-            _ => finalize_global_dt(reduced),
+            TimeStepping::Individual { max_rungs } => {
+                return self.block_step(&dts, finalize_global_dt(reduced), max_rungs, stats);
+            }
+            TimeStepping::Global => finalize_global_dt(reduced),
         };
 
         // Step 6: KDK leapfrog — each rank kicks its owned particles,
@@ -1255,17 +1344,78 @@ impl DistributedSimulation {
                 kick(&mut self.sys, dt / 2.0, &self.owned[r]);
             });
         }
+        Ok(self.finish_step(dt, stats, 1, 1.0))
+    }
+
+    /// Individual (block) time-steps (ChaNGa), single rank: assign
+    /// power-of-two rungs from the per-particle criteria `dts`, advance one
+    /// macro step of dt_max in 2^deepest substeps, evaluating derivatives
+    /// only for the particles active at each substep.
+    fn block_step(
+        &mut self,
+        dts: &[f64],
+        dt_min: f64,
+        max_rungs: u8,
+        mut stats: StepStats,
+    ) -> Result<StepReport, DistributedError> {
+        let n = self.sys.len();
+        let finite_max = dts.iter().cloned().filter(|d| d.is_finite()).fold(dt_min, f64::max);
+        // Macro step: largest power-of-two multiple of dt_min that covers
+        // the slowest particle, capped by max_rungs.
+        let levels =
+            ((finite_max / dt_min).log2().floor().max(0.0) as u32).min(max_rungs as u32) as u8;
+        let dt_max = dt_min * (1u64 << levels) as f64;
+        let rungs = assign_rungs(dts, dt_max, levels);
+        self.sys.rung.copy_from_slice(&rungs);
+        let substeps = 1u64 << levels;
+        let dt_sub = dt_max / substeps as f64;
+        let mut active_total = 0u64;
+        for s in 0..substeps {
+            let active = active_at_substep(&rungs, s, levels);
+            // sph-lint: allow(reduce-taint) — u64 census of active
+            // particles: exact integer arithmetic, order-free.
+            active_total += active.len() as u64;
+            // Kick each active particle by half its own rung step, drift
+            // everyone, re-evaluate, kick the other half — a synchronised
+            // block-KDK.
+            let rung_dt: Vec<f64> =
+                active.iter().map(|&i| dt_max / (1u64 << rungs[i as usize]) as f64).collect();
+            self.driver_timers.time(Phase::Update, || {
+                for (&i, &rdt) in active.iter().zip(&rung_dt) {
+                    kick(&mut self.sys, rdt / 2.0, &[i]);
+                }
+                drift(&mut self.sys, dt_sub);
+            });
+            stats.merge(&self.evaluate_active(Some(&active))?);
+            self.driver_timers.time(Phase::Update, || {
+                for (&i, &rdt) in active.iter().zip(&rung_dt) {
+                    kick(&mut self.sys, rdt / 2.0, &[i]);
+                }
+            });
+        }
+        let active_fraction = active_total as f64 / (substeps * n as u64) as f64;
+        Ok(self.finish_step(dt_max, stats, substeps as u32, active_fraction))
+    }
+
+    /// Close a macro step: remember dt, advance the clock, report.
+    fn finish_step(
+        &mut self,
+        dt: f64,
+        stats: StepStats,
+        substeps: u32,
+        active_fraction: f64,
+    ) -> StepReport {
         self.dt_prev = dt;
         self.sys.time += dt;
         self.sys.step_count += 1;
-        Ok(StepReport {
+        StepReport {
             step: self.sys.step_count,
             dt,
             time: self.sys.time,
             stats,
-            substeps: 1,
-            active_fraction: 1.0,
-        })
+            substeps,
+            active_fraction,
+        }
     }
 
     /// Run `n_steps` macro steps; stops at the first step error.
@@ -1622,7 +1772,6 @@ impl DistributedSimulation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::simulation::SimulationBuilder;
     use sph_ft::checkpoint::MemoryStore;
     use sph_math::{Periodicity, SplitMix64, Vec3};
 
@@ -1656,17 +1805,20 @@ mod tests {
         SphConfig { target_neighbors: 40, max_h_iterations: 5, ..Default::default() }
     }
 
+    fn single_rank(sys: ParticleSystem, config: SphConfig) -> DistributedSimulation {
+        DistributedSimulation::new(sys, config, 1).unwrap()
+    }
+
     use sph_core::diagnostics::state_fingerprint as state_hash;
 
     #[test]
     fn matches_single_rank_bit_for_bit() {
         let steps = 4;
-        let mut reference =
-            SimulationBuilder::new(gas_ball(350, 3)).config(quick_config()).build().unwrap();
+        let mut reference = single_rank(gas_ball(350, 3), quick_config());
         reference.run(steps).unwrap();
         let want = state_hash(&reference.sys);
 
-        for nranks in [1usize, 2, 3, 4] {
+        for nranks in [2usize, 3, 4] {
             let mut dist = DistributedBuilder::new(gas_ball(350, 3))
                 .config(quick_config())
                 .nranks(nranks)
@@ -1685,8 +1837,7 @@ mod tests {
     #[test]
     fn sfc_partitioner_also_matches() {
         let steps = 3;
-        let mut reference =
-            SimulationBuilder::new(gas_ball(300, 9)).config(quick_config()).build().unwrap();
+        let mut reference = single_rank(gas_ball(300, 9), quick_config());
         reference.run(steps).unwrap();
         let mut dist = DistributedBuilder::new(gas_ball(300, 9))
             .config(quick_config())
@@ -1715,7 +1866,7 @@ mod tests {
             }
             sys
         };
-        let mut reference = SimulationBuilder::new(make()).config(quick_config()).build().unwrap();
+        let mut reference = single_rank(make(), quick_config());
         reference.step().unwrap();
         let mut dist = DistributedBuilder::new(make())
             .config(quick_config())
@@ -1751,8 +1902,7 @@ mod tests {
         assert!(dist.exchange_log().migrations > 0, "shear flow must migrate some particles");
         assert_ne!(&before, after);
 
-        let mut reference =
-            SimulationBuilder::new(gas_ball(400, 7)).config(quick_config()).build().unwrap();
+        let mut reference = single_rank(gas_ball(400, 7), quick_config());
         reference.run(6).unwrap();
         assert_eq!(state_hash(&dist.sys), state_hash(&reference.sys));
     }
@@ -1899,16 +2049,20 @@ mod tests {
 
     #[test]
     fn builder_rejects_individual_stepping_with_typed_error() {
-        let bad = SphConfig {
+        let individual = SphConfig {
             time_stepping: TimeStepping::Individual { max_rungs: 4 },
             ..quick_config()
         };
+        assert!(
+            DistributedBuilder::new(gas_ball(100, 23)).config(individual).nranks(1).build().is_ok(),
+            "individual stepping must build at nranks 1"
+        );
         let err = DistributedBuilder::new(gas_ball(100, 23))
-            .config(bad)
+            .config(individual)
             .nranks(2)
             .build()
             .err()
-            .expect("individual stepping must be rejected");
+            .expect("multi-rank individual stepping must be rejected");
         // The rejection is a typed capability gap, not a stringly error…
         assert!(
             matches!(err, DistributedBuildError::UnsupportedTimeStepping { .. }),

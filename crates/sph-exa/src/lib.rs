@@ -1,6 +1,7 @@
 //! The SPH-EXA mini-app driver.
 //!
-//! [`Simulation`] executes Algorithm 1 of the paper:
+//! [`DistributedSimulation`] executes Algorithm 1 of the paper on any
+//! number of in-process ranks (nranks = 1 is the single-rank run):
 //!
 //! ```text
 //! Initialization
@@ -15,20 +16,20 @@
 //! ```
 //!
 //! over any [`sph_core::SphConfig`] (i.e. any cell of Tables 1–2), with
-//! global, adaptive or individual block time-stepping, optional
+//! global, adaptive or (single-rank) individual block time-stepping, optional
 //! self-gravity, per-phase wall-clock timing and per-particle work
 //! accounting (the input of the cluster performance model).
 
 pub mod distributed;
 pub mod resilient;
-pub mod simulation;
+#[cfg(test)]
+mod simulation;
 
 pub use distributed::{
     DistributedBuildError, DistributedBuilder, DistributedConfig, DistributedError,
-    DistributedSimulation, ExchangeLog, RankPartitioner, SUPPORTED_TIME_STEPPING,
+    DistributedSimulation, ExchangeLog, RankPartitioner, StepReport, SUPPORTED_TIME_STEPPING,
 };
 pub use resilient::{
     Detection, RecoveryError, RecoveryStats, ResilientConfig, ResilientSimulation, RollbackRecord,
     SchedulerMode,
 };
-pub use simulation::{Simulation, SimulationBuilder, StepReport};

@@ -1,393 +1,19 @@
-//! The Algorithm-1 step driver.
-
-use sph_core::config::{GradientScheme, SphConfig, TimeStepping};
-use sph_core::density::{compute_density, NeighborLists};
-use sph_core::diagnostics::Conservation;
-use sph_core::eos::IdealGas;
-use sph_core::forces::compute_forces;
-use sph_core::gradients::{compute_iad_matrices, compute_velocity_gradients};
-use sph_core::integrator::{drift, kick, kick_drift, PingPongBuffers};
-use sph_core::particles::ParticleSystem;
-use sph_core::timestep::{
-    active_at_substep, adaptive_dt, assign_rungs, global_dt, per_particle_dt, TimeStepError,
-};
-use sph_core::volume::compute_volume_elements;
-use sph_core::StepStats;
-use sph_kernels::{Kernel, SUPPORT_RADIUS};
-use sph_profiler::timers::PhaseTimers;
-use sph_profiler::Phase;
-use sph_tree::{CellGrid, GravityConfig, GravitySolver, Octree, OctreeConfig, TraversalStats};
-
-/// Result of one completed macro time-step.
-#[derive(Debug, Clone, Copy)]
-pub struct StepReport {
-    /// Step index (1-based after the first step).
-    pub step: u64,
-    /// Macro time-step actually taken.
-    pub dt: f64,
-    /// Simulation time after the step.
-    pub time: f64,
-    /// Work statistics accumulated over the step (all substeps).
-    pub stats: StepStats,
-    /// Number of substeps (1 for global/adaptive stepping).
-    pub substeps: u32,
-    /// Mean fraction of particles active per derivative evaluation
-    /// (1.0 for global stepping; < 1 shows the block-time-step saving).
-    pub active_fraction: f64,
-}
-
-/// Builder for [`Simulation`].
-pub struct SimulationBuilder {
-    sys: ParticleSystem,
-    config: SphConfig,
-    gravity: Option<GravityConfig>,
-    num_threads: Option<usize>,
-}
-
-impl SimulationBuilder {
-    pub fn new(sys: ParticleSystem) -> Self {
-        SimulationBuilder { sys, config: SphConfig::default(), gravity: None, num_threads: None }
-    }
-
-    pub fn config(mut self, config: SphConfig) -> Self {
-        self.config = config;
-        self
-    }
-
-    /// Enable self-gravity (Algorithm 1, step 4).
-    pub fn gravity(mut self, gravity: GravityConfig) -> Self {
-        self.gravity = Some(gravity);
-        self
-    }
-
-    /// Worker threads for every parallel loop (0 = the `SPH_THREADS` /
-    /// hardware default). The pool is process-global, so this configures
-    /// *all* simulations, not just the one being built; results are
-    /// bit-identical for any setting thanks to the fixed-chunk reductions.
-    pub fn num_threads(mut self, n: usize) -> Self {
-        self.num_threads = Some(n);
-        self
-    }
-
-    pub fn build(self) -> Result<Simulation, String> {
-        self.config.validate()?;
-        self.sys.sanity_check()?;
-        if let Some(n) = self.num_threads {
-            rayon::ThreadPoolBuilder::new()
-                .num_threads(n)
-                .build_global()
-                .map_err(|e| format!("thread pool: {e}"))?;
-        }
-        let kernel = self.config.kernel.build();
-        let eos = IdealGas::new(self.config.gamma);
-        let n = self.sys.len();
-        Ok(Simulation {
-            sys: self.sys,
-            config: self.config,
-            gravity: self.gravity,
-            kernel,
-            eos,
-            phi: vec![0.0; n],
-            per_particle_work: vec![1.0; n],
-            dt_prev: 0.0,
-            timers: PhaseTimers::new(),
-            buffers: PingPongBuffers::new(n),
-            derivatives_fresh: false,
-        })
-    }
-}
-
-/// A running SPH-EXA simulation.
-pub struct Simulation {
-    /// Particle state.
-    pub sys: ParticleSystem,
-    /// SPH configuration (a cell of Tables 1–2).
-    pub config: SphConfig,
-    /// Self-gravity configuration, if enabled.
-    pub gravity: Option<GravityConfig>,
-    kernel: Box<dyn Kernel>,
-    eos: IdealGas,
-    /// Per-particle gravitational potentials (zero with gravity off).
-    pub phi: Vec<f64>,
-    /// Per-particle work units from the most recent derivative
-    /// evaluation — the load measure the cluster model and the dynamic
-    /// load balancer consume.
-    per_particle_work: Vec<f64>,
-    dt_prev: f64,
-    timers: PhaseTimers,
-    buffers: PingPongBuffers,
-    derivatives_fresh: bool,
-}
-
-impl Simulation {
-    /// Convenience constructor with defaults.
-    pub fn new(sys: ParticleSystem, config: SphConfig) -> Result<Self, String> {
-        SimulationBuilder::new(sys).config(config).build()
-    }
-
-    /// Resume from a checkpointed state whose accelerations and energy
-    /// derivatives are valid (the `sph-ft` codec persists them). The next
-    /// step reuses them for its first half-kick, exactly as the original
-    /// run would have — restarts are therefore bit-exact.
-    pub fn resume(sys: ParticleSystem, config: SphConfig) -> Result<Self, String> {
-        let mut sim = Self::new(sys, config)?;
-        sim.derivatives_fresh = true;
-        Ok(sim)
-    }
-
-    /// Resume with self-gravity enabled (see [`Simulation::resume`]).
-    pub fn resume_with_gravity(
-        sys: ParticleSystem,
-        config: SphConfig,
-        gravity: GravityConfig,
-    ) -> Result<Self, String> {
-        let mut sim = SimulationBuilder::new(sys).config(config).gravity(gravity).build()?;
-        sim.derivatives_fresh = true;
-        Ok(sim)
-    }
-
-    /// Wall-clock phase timers (real measured time of this process).
-    pub fn timers(&self) -> &PhaseTimers {
-        &self.timers
-    }
-
-    /// Per-particle work units of the last derivative evaluation.
-    pub fn per_particle_work(&self) -> &[f64] {
-        &self.per_particle_work
-    }
-
-    /// Conservation snapshot (includes gravity when enabled).
-    pub fn conservation(&self) -> Conservation {
-        let phi = self.gravity.is_some().then_some(self.phi.as_slice());
-        Conservation::measure(&self.sys, phi)
-    }
-
-    /// Evaluate all derivatives (Algorithm 1 steps 1–4) for `active`
-    /// particles. Returns the accumulated statistics.
-    pub fn evaluate_derivatives(&mut self, active: &[u32]) -> StepStats {
-        let mut stats = StepStats::default();
-        let sys = &mut self.sys;
-
-        // Phase A: sort particles into the uniform cell grid — the only
-        // spatial structure the SPH passes need. The octree is built later,
-        // and only when self-gravity asks for multipoles.
-        let grid = self.timers.time(Phase::TreeBuild, || {
-            CellGrid::for_radius(&sys.x, sys.periodicity, SUPPORT_RADIUS * sys.max_h())
-        });
-
-        // Phases B–E: neighbours, smoothing lengths, density.
-        let kernel = self.kernel.as_ref();
-        let config = &self.config;
-        let (lists, dstats) = self
-            .timers
-            .time(Phase::Density, || compute_density(sys, &grid, kernel, config, active));
-        stats.merge(&dstats);
-
-        // Phase F: volume elements, IAD matrices, EOS, velocity gradients.
-        self.timers.time(Phase::Gradients, || {
-            compute_volume_elements(sys, &lists, kernel, config, active);
-            if config.gradients == GradientScheme::Iad {
-                compute_iad_matrices(sys, &lists, kernel, active);
-            }
-            self.eos.apply(&sys.rho, &sys.u, &mut sys.p, &mut sys.cs);
-            compute_velocity_gradients(sys, &lists, kernel, config.gradients, active);
-        });
-
-        // Phases G–H: momentum and energy. Use the symmetric closure when
-        // evaluating the whole system (exact pairwise conservation); an
-        // active subset keeps its gather lists, as block-stepping codes do.
-        let full_system = active.len() == sys.len();
-        let force_lists: NeighborLists = if full_system { lists.symmetrized() } else { lists };
-        let pair_count = self
-            .timers
-            .time(Phase::Momentum, || compute_forces(sys, &force_lists, kernel, config, active));
-        stats.sph_interactions += pair_count;
-
-        // Phase I: self-gravity. Chunked map over fixed REDUCE_CHUNK
-        // boundaries + ordered reduce of the chunk traversal counters; the
-        // per-particle interaction count is kept alongside each sample
-        // because it is the load measure the cluster model consumes.
-        if let Some(gcfg) = self.gravity {
-            let gstats = self.timers.time(Phase::Gravity, || {
-                let bounds = sys.bounds();
-                let tree = Octree::build(&sys.x, &bounds, OctreeConfig::default());
-                let solver = GravitySolver::new(&tree, &sys.m, gcfg);
-                type GravityRow = (usize, sph_tree::gravity::GravitySample, u64);
-                let chunks: Vec<(Vec<GravityRow>, TraversalStats)> = {
-                    use rayon::prelude::*;
-                    use sph_math::REDUCE_CHUNK;
-                    active
-                        .par_chunks(REDUCE_CHUNK)
-                        .map(|chunk| {
-                            let mut stats = TraversalStats::default();
-                            let rows = chunk
-                                .iter()
-                                .map(|&ai| {
-                                    let i = ai as usize;
-                                    let mut ts = TraversalStats::default();
-                                    let s = solver.field_at(sys.x[i], Some(ai), &mut ts);
-                                    let work = ts.total_interactions();
-                                    stats.merge(&ts);
-                                    (i, s, work)
-                                })
-                                .collect();
-                            (rows, stats)
-                        })
-                        .collect()
-                };
-                let mut merged = TraversalStats::default();
-                for (rows, stats) in chunks {
-                    merged.merge(&stats);
-                    for (i, s, work) in rows {
-                        sys.a[i] += s.accel;
-                        self.phi[i] = s.potential;
-                        // Gravity work is attributed per particle below.
-                        self.per_particle_work[i] = work as f64;
-                    }
-                }
-                merged
-            });
-            stats.gravity = gstats;
-        } else {
-            for &ai in active {
-                self.per_particle_work[ai as usize] = 0.0;
-            }
-        }
-
-        // Per-particle work: SPH pair interactions (density + force ≈ 2×
-        // the neighbour count) plus gravity interactions (already stored).
-        for (k, &ai) in active.iter().enumerate() {
-            let i = ai as usize;
-            let sph = 2.0 * force_lists.neighbors(k).len() as f64;
-            self.per_particle_work[i] += sph.max(2.0);
-        }
-
-        self.derivatives_fresh = true;
-        stats
-    }
-
-    /// Execute one macro time-step (Algorithm 1 steps 1–6).
-    ///
-    /// A pathological time-step state (NaN-poisoned acceleration, infinite
-    /// sound speed, …) is surfaced as a [`TimeStepError`] instead of
-    /// aborting the process — the caller can checkpoint-restore or shrink
-    /// the step. The simulation state is left as of the failed criterion
-    /// evaluation (no kick/drift has happened).
-    pub fn step(&mut self) -> Result<StepReport, TimeStepError> {
-        let n = self.sys.len();
-        let all: Vec<u32> = (0..n as u32).collect();
-        let mut stats = StepStats::default();
-        if !self.derivatives_fresh {
-            stats.merge(&self.evaluate_derivatives(&all));
-        }
-
-        match self.config.time_stepping {
-            TimeStepping::Global | TimeStepping::Adaptive { .. } => {
-                let dts =
-                    self.timers.time(Phase::Update, || per_particle_dt(&self.sys, &self.config));
-                let dt = match self.config.time_stepping {
-                    TimeStepping::Adaptive { growth_limit } => {
-                        adaptive_dt(&dts, self.dt_prev, growth_limit)?
-                    }
-                    _ => global_dt(&dts)?,
-                };
-                // KDK leapfrog: the first half-kick and the drift are fused
-                // into one gather → scatter pass over the ping-pong buffers
-                // (bit-identical to kick-then-drift).
-                self.timers.time(Phase::Update, || {
-                    kick_drift(&mut self.sys, &mut self.buffers, dt / 2.0, dt);
-                });
-                stats.merge(&self.evaluate_derivatives(&all));
-                self.timers.time(Phase::Update, || {
-                    kick(&mut self.sys, dt / 2.0, &all);
-                });
-                self.dt_prev = dt;
-                self.sys.time += dt;
-                self.sys.step_count += 1;
-                Ok(StepReport {
-                    step: self.sys.step_count,
-                    dt,
-                    time: self.sys.time,
-                    stats,
-                    substeps: 1,
-                    active_fraction: 1.0,
-                })
-            }
-            TimeStepping::Individual { max_rungs } => {
-                // Block time-steps (ChaNGa): assign power-of-two rungs from
-                // the per-particle criteria, advance one macro step of
-                // dt_max in 2^deepest substeps, evaluating derivatives only
-                // for the particles active at each substep.
-                let dts = per_particle_dt(&self.sys, &self.config);
-                let dt_min = global_dt(&dts)?;
-                let finite_max =
-                    dts.iter().cloned().filter(|d| d.is_finite()).fold(dt_min, f64::max);
-                // Macro step: largest power-of-two multiple of dt_min that
-                // covers the slowest particle, capped by max_rungs.
-                let levels = ((finite_max / dt_min).log2().floor().max(0.0) as u32)
-                    .min(max_rungs as u32) as u8;
-                let dt_max = dt_min * (1u64 << levels) as f64;
-                let rungs = assign_rungs(&dts, dt_max, levels);
-                for (i, &r) in rungs.iter().enumerate() {
-                    self.sys.rung[i] = r;
-                }
-                let substeps = 1u64 << levels;
-                let dt_sub = dt_max / substeps as f64;
-                let mut active_total = 0u64;
-                for s in 0..substeps {
-                    let active = active_at_substep(&rungs, s, levels);
-                    // sph-lint: allow(reduce-taint) — u64 census of active
-                    // particles: exact integer arithmetic, order-free.
-                    active_total += active.len() as u64;
-                    // Kick each active particle by half its own rung step,
-                    // drift everyone, re-evaluate, kick the other half —
-                    // a synchronised block-KDK.
-                    let rung_dt: Vec<f64> = active
-                        .iter()
-                        .map(|&i| dt_max / (1u64 << rungs[i as usize]) as f64)
-                        .collect();
-                    self.timers.time(Phase::Update, || {
-                        for (&i, &rdt) in active.iter().zip(&rung_dt) {
-                            kick(&mut self.sys, rdt / 2.0, &[i]);
-                        }
-                        drift(&mut self.sys, dt_sub);
-                    });
-                    stats.merge(&self.evaluate_derivatives(&active));
-                    self.timers.time(Phase::Update, || {
-                        for (&i, &rdt) in active.iter().zip(&rung_dt) {
-                            kick(&mut self.sys, rdt / 2.0, &[i]);
-                        }
-                    });
-                }
-                self.dt_prev = dt_max;
-                self.sys.time += dt_max;
-                self.sys.step_count += 1;
-                Ok(StepReport {
-                    step: self.sys.step_count,
-                    dt: dt_max,
-                    time: self.sys.time,
-                    stats,
-                    substeps: substeps as u32,
-                    active_fraction: active_total as f64 / (substeps * n as u64) as f64,
-                })
-            }
-        }
-    }
-
-    /// Run `n_steps` macro steps, collecting reports; stops at the first
-    /// time-step error.
-    pub fn run(&mut self, n_steps: usize) -> Result<Vec<StepReport>, TimeStepError> {
-        (0..n_steps).map(|_| self.step()).collect()
-    }
-}
+//! Single-rank behaviour of the step driver: [`DistributedSimulation`] at
+//! nranks = 1 — free expansion, gravitational binding, adaptive and block
+//! (Individual) time-stepping, error surfacing and bookkeeping.
+//! Test-only; multi-rank behaviour is tested next to the driver.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::{DistributedBuilder, DistributedError, DistributedSimulation};
+    use sph_core::config::{SphConfig, TimeStepping};
+    use sph_core::particles::ParticleSystem;
+    use sph_core::timestep::TimeStepError;
     use sph_math::{Aabb, Periodicity, SplitMix64, Vec3};
-    use sph_tree::MultipoleOrder;
+    use sph_profiler::Phase;
+    use sph_tree::{GravityConfig, MultipoleOrder};
 
-    /// A small warm uniform gas ball, open boundaries.
+    /// A small warm uniform gas ball at rest, open boundaries.
     fn gas_ball(n_target: usize, seed: u64) -> ParticleSystem {
         let mut rng = SplitMix64::new(seed);
         let mut x = Vec::new();
@@ -413,16 +39,19 @@ mod tests {
         SphConfig { target_neighbors: 40, max_h_iterations: 5, ..Default::default() }
     }
 
+    fn single_rank(sys: ParticleSystem, config: SphConfig) -> DistributedSimulation {
+        DistributedSimulation::new(sys, config, 1).unwrap()
+    }
+
     #[test]
     fn builder_validates() {
-        let sys = gas_ball(300, 1);
         let bad = SphConfig { gamma: 0.1, ..Default::default() };
-        assert!(SimulationBuilder::new(sys).config(bad).build().is_err());
+        assert!(DistributedBuilder::new(gas_ball(300, 1)).config(bad).build().is_err());
     }
 
     #[test]
     fn single_step_advances_time() {
-        let mut sim = Simulation::new(gas_ball(400, 2), quick_config()).unwrap();
+        let mut sim = single_rank(gas_ball(400, 2), quick_config());
         let r = sim.step().unwrap();
         assert!(r.dt > 0.0);
         assert_eq!(r.step, 1);
@@ -436,11 +65,9 @@ mod tests {
     fn hot_ball_expands_and_cools() {
         // Free expansion: kinetic energy grows, internal energy falls,
         // total (no gravity) approximately conserved.
-        let mut sim = Simulation::new(gas_ball(500, 3), quick_config()).unwrap();
+        let mut sim = single_rank(gas_ball(500, 3), quick_config());
         let e0 = sim.conservation();
-        for _ in 0..5 {
-            sim.step().unwrap();
-        }
+        sim.run(5).unwrap();
         let e1 = sim.conservation();
         assert!(e1.kinetic_energy > e0.kinetic_energy, "ball must accelerate outward");
         assert!(e1.internal_energy < e0.internal_energy, "expansion must cool the gas");
@@ -450,14 +77,10 @@ mod tests {
 
     #[test]
     fn momentum_stays_zero() {
-        let mut sim = Simulation::new(gas_ball(400, 4), quick_config()).unwrap();
-        let scale = {
-            // After a few steps there is real momentum flow to compare to.
-            for _ in 0..3 {
-                sim.step().unwrap();
-            }
-            sph_core::diagnostics::momentum_scale(&sim.sys)
-        };
+        let mut sim = single_rank(gas_ball(400, 4), quick_config());
+        // After a few steps there is real momentum flow to compare to.
+        sim.run(3).unwrap();
+        let scale = sph_core::diagnostics::momentum_scale(&sim.sys);
         let c = sim.conservation();
         assert!(
             c.momentum.norm() < 1e-8 * scale.max(1e-12),
@@ -477,13 +100,11 @@ mod tests {
         let gravity =
             GravityConfig { g: 1.0, theta: 0.6, softening: 0.05, order: MultipoleOrder::Monopole };
         let mut sim =
-            SimulationBuilder::new(sys).config(quick_config()).gravity(gravity).build().unwrap();
+            DistributedBuilder::new(sys).config(quick_config()).gravity(gravity).build().unwrap();
         sim.step().unwrap(); // populates potentials
         let c0 = sim.conservation();
         assert!(c0.gravitational_energy < 0.0);
-        for _ in 0..5 {
-            sim.step().unwrap();
-        }
+        sim.run(5).unwrap();
         let c1 = sim.conservation();
         assert!(c1.kinetic_energy > c0.kinetic_energy, "collapse must gain KE");
         assert!(
@@ -494,9 +115,11 @@ mod tests {
 
     #[test]
     fn adaptive_stepping_limits_growth() {
-        let mut cfg = quick_config();
-        cfg.time_stepping = TimeStepping::Adaptive { growth_limit: 1.05 };
-        let mut sim = Simulation::new(gas_ball(300, 6), cfg).unwrap();
+        let cfg = SphConfig {
+            time_stepping: TimeStepping::Adaptive { growth_limit: 1.05 },
+            ..quick_config()
+        };
+        let mut sim = single_rank(gas_ball(300, 6), cfg);
         let r1 = sim.step().unwrap();
         let r2 = sim.step().unwrap();
         assert!(r2.dt <= r1.dt * 1.05 + 1e-12, "dt grew too fast: {} → {}", r1.dt, r2.dt);
@@ -513,9 +136,11 @@ mod tests {
                 sys.u[i] = 50.0;
             }
         }
-        let mut cfg = quick_config();
-        cfg.time_stepping = TimeStepping::Individual { max_rungs: 4 };
-        let mut sim = Simulation::new(sys, cfg).unwrap();
+        let cfg = SphConfig {
+            time_stepping: TimeStepping::Individual { max_rungs: 4 },
+            ..quick_config()
+        };
+        let mut sim = single_rank(sys, cfg);
         let r = sim.step().unwrap();
         assert!(r.substeps > 1, "expected rung spread, got {} substeps", r.substeps);
         assert!(
@@ -528,38 +153,42 @@ mod tests {
 
     #[test]
     fn per_particle_work_is_positive_after_step() {
-        let mut sim = Simulation::new(gas_ball(300, 8), quick_config()).unwrap();
+        let mut sim = single_rank(gas_ball(300, 8), quick_config());
         sim.step().unwrap();
         assert!(sim.per_particle_work().iter().all(|&w| w > 0.0));
     }
 
     #[test]
     fn timers_accumulate_phases() {
-        let mut sim = Simulation::new(gas_ball(300, 9), quick_config()).unwrap();
+        let mut sim = single_rank(gas_ball(300, 9), quick_config());
         sim.step().unwrap();
-        assert!(sim.timers().get(Phase::TreeBuild) > 0.0);
-        assert!(sim.timers().get(Phase::Density) > 0.0);
-        assert!(sim.timers().get(Phase::Momentum) > 0.0);
-        assert_eq!(sim.timers().get(Phase::Gravity), 0.0); // gravity off
+        let timers = sim.aggregate_timers();
+        assert!(timers.get(Phase::TreeBuild) > 0.0);
+        assert!(timers.get(Phase::Density) > 0.0);
+        assert!(timers.get(Phase::Momentum) > 0.0);
+        assert_eq!(timers.get(Phase::Gravity), 0.0); // gravity off
     }
 
     #[test]
     fn poisoned_state_surfaces_error_instead_of_abort() {
-        let mut sim = Simulation::new(gas_ball(300, 11), quick_config()).unwrap();
+        let mut sim = single_rank(gas_ball(300, 11), quick_config());
         sim.step().unwrap();
         let time_before = sim.sys.time;
         // NaN-poison one acceleration (a stand-in for silent memory
-        // corruption); the next step must fail loudly — the pre-fix
-        // assert! aborted the process — and must not advance the clock.
+        // corruption); the next step must fail loudly and must not
+        // advance the clock.
         sim.sys.a[7] = Vec3::new(f64::NAN, 0.0, 0.0);
         let err = sim.step().unwrap_err();
-        assert!(matches!(err, TimeStepError::NonFinite { particle: 7 }), "{err}");
+        assert!(
+            matches!(err, DistributedError::TimeStep(TimeStepError::NonFinite { particle: 7 })),
+            "{err}"
+        );
         assert_eq!(sim.sys.time, time_before, "failed step must not advance time");
     }
 
     #[test]
     fn run_produces_reports() {
-        let mut sim = Simulation::new(gas_ball(300, 10), quick_config()).unwrap();
+        let mut sim = single_rank(gas_ball(300, 10), quick_config());
         let reports = sim.run(3).unwrap();
         assert_eq!(reports.len(), 3);
         assert!(reports.windows(2).all(|w| w[1].time > w[0].time));

@@ -40,8 +40,7 @@ pub const HOT_PATH_SEEDS: &[&str] = &[
 
 /// Driver types whose `step` methods feed trajectories (R7 seeds,
 /// together with the kernel passes).
-pub const TRAJECTORY_STEP_TYPES: &[&str] =
-    &["Simulation", "DistributedSimulation", "ResilientSimulation"];
+pub const TRAJECTORY_STEP_TYPES: &[&str] = &["DistributedSimulation", "ResilientSimulation"];
 
 /// Iterator adapters that dispatch fixed-`REDUCE_CHUNK` parallel work in
 /// the rayon shim. A closure handed to one of these runs once per

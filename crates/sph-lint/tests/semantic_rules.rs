@@ -129,12 +129,13 @@ fn r6_exempts_collect_terminating_parallel_chain() {
 // R7 reduce-taint
 // ---------------------------------------------------------------------------
 
-/// A `Simulation::step` front-end whose helpers live in a non-hot crate:
-/// R2's crate whitelist never sees them, only reachability does.
+/// A `DistributedSimulation::step` front-end whose helpers live in a
+/// non-hot crate: R2's crate whitelist never sees them, only reachability
+/// does.
 const STEP_FILE: (&str, &str) = (
-    "crates/sph-exa/src/simulation.rs",
-    "pub struct Simulation;\n\
-     impl Simulation {\n\
+    "crates/sph-exa/src/distributed.rs",
+    "pub struct DistributedSimulation;\n\
+     impl DistributedSimulation {\n\
      \x20   pub fn step(&mut self, ws: &[f64]) -> f64 { crate::weights::rebalance(ws) }\n\
      }\n",
 );

@@ -24,11 +24,10 @@
 //!    `report.passed` is the machine-readable gate the `scenario_suite`
 //!    binary (and CI) enforces.
 //!
-//! Scenarios run through **both** step drivers via [`run_scenario`]: the
-//! single-rank [`Simulation`] and the multi-rank
-//! [`sph_exa::DistributedSimulation`] produce bit-identical trajectories
-//! (the repo-wide determinism contract), so a scenario validated on one
-//! driver is validated on both.
+//! Scenarios run through [`sph_exa::DistributedSimulation`] via
+//! [`run_scenario`] at any in-process rank count; every count produces
+//! the bit-identical trajectory (the repo-wide determinism contract), so
+//! a scenario validated at nranks = 1 is validated at all of them.
 //!
 //! The [`ScenarioRegistry`] replaces the old hard-coded two-row table:
 //! the paper's Table 5 is now *derived* from the registry (scenarios
@@ -38,7 +37,7 @@
 use sph_core::config::SphConfig;
 use sph_core::diagnostics::Conservation;
 use sph_core::particles::ParticleSystem;
-use sph_exa::{DistributedBuilder, DistributedConfig, SimulationBuilder};
+use sph_exa::{DistributedBuilder, DistributedConfig};
 use sph_json::Value;
 use sph_math::Vec3;
 use sph_tree::GravityConfig;
@@ -214,12 +213,12 @@ impl ScenarioRegistry {
     /// from this, and a test keeps the two in sync).
     pub fn catalogue_markdown(&self) -> String {
         let mut out = String::from(
-            "| Scenario | Reference | Analytic check | Drivers |\n\
-             |----------|-----------|----------------|---------|\n",
+            "| Scenario | Reference | Analytic check | Driver |\n\
+             |----------|-----------|----------------|--------|\n",
         );
         for s in self.iter() {
             out.push_str(&format!(
-                "| `{}` | {} | {} | `Simulation`, `DistributedSimulation` |\n",
+                "| `{}` | {} | {} | `DistributedSimulation` at nranks 1, 2, 4 |\n",
                 s.name(),
                 s.reference(),
                 s.analytic_check(),
@@ -233,21 +232,13 @@ impl ScenarioRegistry {
 // Generic runner
 // ---------------------------------------------------------------------
 
-/// Which step driver executes the run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DriverKind {
-    /// The single-rank [`Simulation`].
-    Single,
-    /// The multi-rank [`sph_exa::DistributedSimulation`] (in-process
-    /// ranks; bit-identical to `Single` for any rank count).
-    Distributed { nranks: usize },
-}
-
 /// Options of one [`run_scenario`] invocation.
 #[derive(Debug, Clone, Copy)]
 pub struct RunOptions {
     pub resolution: Resolution,
-    pub driver: DriverKind,
+    /// In-process rank count (1 = single rank; any count is
+    /// bit-identical).
+    pub nranks: usize,
     /// Override of the scenario's registered end time (`None` = run to
     /// [`Scenario::end_time`]).
     pub end_time: Option<f64>,
@@ -262,7 +253,7 @@ impl Default for RunOptions {
     fn default() -> Self {
         RunOptions {
             resolution: Resolution::default(),
-            driver: DriverKind::Single,
+            nranks: 1,
             end_time: None,
             max_steps: 100_000,
             sample_every: 10,
@@ -304,83 +295,20 @@ impl ScenarioRun {
     }
 }
 
-/// The driver interface the generic runner needs — implemented by both
-/// step drivers, so the run/sample/assemble logic exists exactly once
-/// (an asymmetry there would be indistinguishable from a determinism
-/// bug in the bit-identity tests).
-trait Drivable {
-    /// One macro step; errors surface as the driver's own rendered
-    /// message (`TimeStepError` single-rank, `DistributedError` — which
-    /// wraps time-step, exchange and storage faults — distributed).
-    fn step_once(&mut self) -> Result<(), String>;
-    fn conservation(&self) -> Conservation;
-    fn sys(&self) -> &ParticleSystem;
-    fn into_state(self) -> (ParticleSystem, Vec<f64>);
-}
-
-impl Drivable for sph_exa::Simulation {
-    fn step_once(&mut self) -> Result<(), String> {
-        self.step().map(|_| ()).map_err(|e| e.to_string())
-    }
-    fn conservation(&self) -> Conservation {
-        self.conservation()
-    }
-    fn sys(&self) -> &ParticleSystem {
-        &self.sys
-    }
-    fn into_state(self) -> (ParticleSystem, Vec<f64>) {
-        (self.sys, self.phi)
-    }
-}
-
-impl Drivable for sph_exa::DistributedSimulation {
-    fn step_once(&mut self) -> Result<(), String> {
-        self.step().map(|_| ()).map_err(String::from)
-    }
-    fn conservation(&self) -> Conservation {
-        self.conservation()
-    }
-    fn sys(&self) -> &ParticleSystem {
-        &self.sys
-    }
-    fn into_state(self) -> (ParticleSystem, Vec<f64>) {
-        (self.sys, self.phi)
-    }
-}
-
-/// Run one scenario through the selected driver. Both drivers execute
-/// the same macro-step count with bit-identical dt sequences, so
-/// fingerprints of the returned `sys` may be compared across drivers.
+/// Run one scenario on `opts.nranks` in-process ranks: step until the end
+/// time (or the step cap), sampling the tracked diagnostic on the way,
+/// then assemble the [`ScenarioRun`]. Every rank count executes the same
+/// macro-step count with bit-identical dt sequences, so fingerprints of
+/// the returned `sys` may be compared across rank counts.
 pub fn run_scenario(sc: &dyn Scenario, opts: &RunOptions) -> Result<ScenarioRun, String> {
     let setup = sc.init(opts.resolution);
-    match opts.driver {
-        DriverKind::Single => {
-            let mut b = SimulationBuilder::new(setup.sys).config(setup.config);
-            if let Some(g) = setup.gravity {
-                b = b.gravity(g);
-            }
-            drive(sc, opts, b.build()?)
-        }
-        DriverKind::Distributed { nranks } => {
-            let mut b = DistributedBuilder::new(setup.sys)
-                .config(setup.config)
-                .distributed(DistributedConfig { nranks, ..Default::default() });
-            if let Some(g) = setup.gravity {
-                b = b.gravity(g);
-            }
-            drive(sc, opts, b.build().map_err(String::from)?)
-        }
+    let mut b = DistributedBuilder::new(setup.sys)
+        .config(setup.config)
+        .distributed(DistributedConfig { nranks: opts.nranks, ..Default::default() });
+    if let Some(g) = setup.gravity {
+        b = b.gravity(g);
     }
-}
-
-/// The shared run loop + bookkeeping of both drivers: step until the
-/// end time (or the step cap), sampling the tracked diagnostic on the
-/// way, then assemble the [`ScenarioRun`].
-fn drive<S: Drivable>(
-    sc: &dyn Scenario,
-    opts: &RunOptions,
-    mut sim: S,
-) -> Result<ScenarioRun, String> {
+    let mut sim = b.build().map_err(String::from)?;
     let end_time = opts.end_time.unwrap_or_else(|| sc.end_time());
     let mut samples = Vec::new();
     let sample = |sys: &ParticleSystem, samples: &mut Vec<MetricSample>| {
@@ -390,24 +318,23 @@ fn drive<S: Drivable>(
             }
         }
     };
-    sample(sim.sys(), &mut samples);
+    sample(&sim.sys, &mut samples);
     let mut initial: Option<Conservation> = None;
     let mut steps = 0u64;
-    while sim.sys().time < end_time && steps < opts.max_steps as u64 {
-        sim.step_once()?;
+    while sim.sys.time < end_time && steps < opts.max_steps as u64 {
+        sim.step().map_err(String::from)?;
         steps += 1;
         if initial.is_none() {
             initial = Some(sim.conservation());
         }
         if opts.sample_every > 0 && steps.is_multiple_of(opts.sample_every as u64) {
-            sample(sim.sys(), &mut samples);
+            sample(&sim.sys, &mut samples);
         }
     }
     let initial = initial.unwrap_or_else(|| sim.conservation());
     let final_conservation = sim.conservation();
-    sample(sim.sys(), &mut samples);
-    let (sys, phi) = sim.into_state();
-    Ok(ScenarioRun { sys, phi, initial, final_conservation, steps, samples })
+    sample(&sim.sys, &mut samples);
+    Ok(ScenarioRun { sys: sim.sys, phi: sim.phi, initial, final_conservation, steps, samples })
 }
 
 // ---------------------------------------------------------------------

@@ -31,10 +31,10 @@
 //!   [`engine::ScenarioRun`] and produces a [`engine::ValidationReport`]:
 //!   L1/L∞ norms, conservation drift, and named checks against the
 //!   registered tolerances. `report.passed` is the CI gate.
-//! * Every registered scenario runs through **both** step drivers
-//!   ([`engine::run_scenario`]): the single-rank `Simulation` and the
-//!   multi-rank `DistributedSimulation` produce bit-identical states for
-//!   any rank/thread count, so validation transfers between them.
+//! * Every registered scenario runs through the step driver
+//!   ([`engine::run_scenario`]) at any in-process rank count:
+//!   `DistributedSimulation` produces bit-identical states for any
+//!   rank/thread count, so validation at nranks = 1 holds for all.
 //!
 //! The paper's Table 5 ([`registry::scenario_table`]) is *derived* from
 //! the registry entries that carry paper metadata — the table cannot
@@ -51,9 +51,9 @@ pub mod sod;
 pub mod square_patch;
 
 pub use engine::{
-    density_error_norms, run_scenario, AnalyticReference, Check, DriverKind, ErrorNorms,
-    MetricSample, PrimitiveState, Resolution, RunOptions, Scenario, ScenarioRegistry, ScenarioRun,
-    ScenarioSetup, ValidationReport,
+    density_error_norms, run_scenario, AnalyticReference, Check, ErrorNorms, MetricSample,
+    PrimitiveState, Resolution, RunOptions, Scenario, ScenarioRegistry, ScenarioRun, ScenarioSetup,
+    ValidationReport,
 };
 pub use evrard::{evrard_collapse, EvrardConfig, EvrardScenario};
 pub use gresho::{gresho_pressure, gresho_v_phi, gresho_vortex, GreshoConfig, GreshoScenario};

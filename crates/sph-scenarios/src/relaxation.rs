@@ -11,13 +11,14 @@
 use sph_core::config::SphConfig;
 use sph_core::integrator::drift;
 use sph_core::particles::ParticleSystem;
-use sph_exa::Simulation;
+use sph_exa::DistributedSimulation;
 use sph_math::Vec3;
 
 /// Relaxation parameters.
 #[derive(Debug, Clone, Copy)]
 pub struct RelaxationConfig {
-    /// Velocity damping per step: `v ← (1 − damping) v` (0 < damping ≤ 1).
+    /// Velocity damping per step: `v ← (1 − damping) v` (0 < damping ≤ 1;
+    /// anything else is rejected with `Err`).
     pub damping: f64,
     /// Maximum relaxation steps.
     pub max_steps: usize,
@@ -69,17 +70,20 @@ fn density_scatter(sys: &ParticleSystem) -> f64 {
 
 /// Relax `sys` in place toward a glass using damped pressure-driven
 /// motion at constant internal energy (the thermodynamic state is reset
-/// after every step so the relaxation does not heat the gas).
+/// after every step so the relaxation does not heat the gas). On `Err`
+/// (a damping outside (0, 1], an invalid config, a failed step) `sys` is
+/// left untouched.
 pub fn relax_to_glass(
     sys: &mut ParticleSystem,
     sph: &SphConfig,
     config: &RelaxationConfig,
 ) -> Result<RelaxationReport, String> {
-    assert!(config.damping > 0.0 && config.damping <= 1.0);
+    if !(config.damping > 0.0 && config.damping <= 1.0) {
+        return Err(format!("relaxation damping {} is outside (0, 1]", config.damping));
+    }
     let u_frozen = sys.u.clone();
-    let mut sim = Simulation::new(std::mem::replace(sys, dummy()), *sph)?;
-    let all: Vec<u32> = (0..sim.sys.len() as u32).collect();
-    sim.evaluate_derivatives(&all);
+    let mut sim = DistributedSimulation::new(sys.clone(), *sph, 1)?;
+    sim.evaluate_derivatives().map_err(|e| e.to_string())?;
     let initial_rms = rms_accel(&sim.sys);
     let initial_scatter = density_scatter(&sim.sys);
     let mut steps = 0;
@@ -95,7 +99,7 @@ pub fn relax_to_glass(
         }
         drift(&mut sim.sys, dt);
         sim.sys.u.copy_from_slice(&u_frozen);
-        sim.evaluate_derivatives(&all);
+        sim.evaluate_derivatives().map_err(|e| e.to_string())?;
         final_rms = rms_accel(&sim.sys);
         if final_rms <= config.target_residual * initial_rms {
             break;
@@ -115,18 +119,6 @@ pub fn relax_to_glass(
     };
     *sys = sim.sys;
     Ok(report)
-}
-
-/// Placeholder system for the `mem::replace` dance (never observed).
-fn dummy() -> ParticleSystem {
-    ParticleSystem::new(
-        vec![Vec3::ZERO],
-        vec![Vec3::ZERO],
-        vec![1.0],
-        vec![0.0],
-        0.1,
-        sph_math::Periodicity::open(sph_math::Aabb::unit()),
-    )
 }
 
 #[cfg(test)]
@@ -191,6 +183,18 @@ mod tests {
         relax_to_glass(&mut b, &cfg(), &rc).unwrap();
         for i in 0..a.len() {
             assert_eq!(a.x[i], b.x[i]);
+        }
+    }
+
+    #[test]
+    fn out_of_range_damping_is_an_error_not_a_panic() {
+        for damping in [0.0, 1.5] {
+            let mut sys = random_gas(100, 13);
+            let before = sys.x.clone();
+            let rc = RelaxationConfig { damping, ..RelaxationConfig::default() };
+            let err = relax_to_glass(&mut sys, &cfg(), &rc).expect_err("damping must be checked");
+            assert!(err.contains("damping"), "{err}");
+            assert_eq!(sys.x, before, "a rejected config must leave the system untouched");
         }
     }
 

@@ -11,7 +11,7 @@
 //! energy and then — through the central shock — into heat, while the
 //! total stays (approximately) conserved.
 
-use sph_exa_repro::exa::SimulationBuilder;
+use sph_exa_repro::exa::{DistributedBuilder, DistributedSimulation};
 use sph_exa_repro::parents::sphynx;
 use sph_exa_repro::scenarios::evrard::evrard_gravitational_energy;
 use sph_exa_repro::scenarios::{evrard_collapse, EvrardConfig};
@@ -32,7 +32,7 @@ fn main() {
         evrard_gravitational_energy(cfg.mass, cfg.radius, 1.0)
     );
 
-    let mut sim = SimulationBuilder::new(sys)
+    let mut sim = DistributedBuilder::new(sys)
         .config(setup.sph)
         .gravity(setup.gravity.expect("SPHYNX has gravity"))
         .build()
@@ -74,7 +74,7 @@ fn main() {
     println!("  total energy drift   {:.2e}", c1.energy_drift(&c0));
 }
 
-fn central_density(sim: &sph_exa_repro::exa::Simulation) -> f64 {
+fn central_density(sim: &DistributedSimulation) -> f64 {
     let sys = &sim.sys;
     let core: Vec<f64> =
         (0..sys.len()).filter(|&i| sys.x[i].norm() < 0.1).map(|i| sys.rho[i]).collect();

@@ -8,7 +8,7 @@
 //! ```
 
 use sph_exa_repro::core::config::SphConfig;
-use sph_exa_repro::exa::Simulation;
+use sph_exa_repro::exa::DistributedSimulation;
 use sph_exa_repro::ft::checkpoint::{CheckpointStore, MemoryStore};
 use sph_exa_repro::ft::daly::{daly_interval, expected_waste};
 use sph_exa_repro::ft::sdc::{ChecksumDetector, SdcDetector, SdcInjector};
@@ -19,7 +19,7 @@ fn main() {
     println!("== checkpoint / restart ==");
     let cfg = EvrardConfig { n_target: 2_000, ..Default::default() };
     let config = SphConfig { target_neighbors: 50, ..Default::default() };
-    let mut sim = Simulation::new(evrard_collapse(&cfg), config).expect("valid");
+    let mut sim = DistributedSimulation::new(evrard_collapse(&cfg), config, 1).expect("valid");
     sim.run(3).expect("stable steps");
 
     let mut store = MemoryStore::new();
@@ -34,7 +34,8 @@ fn main() {
     // the checkpointed accelerations valid for the first half-kick, making
     // the replay bit-exact.
     let restored = store.restore("step-3").expect("restore");
-    let mut replay = Simulation::resume(restored, config).expect("valid");
+    let mut replay =
+        DistributedSimulation::resume(restored, config, None, Default::default()).expect("valid");
     replay.run(2).expect("stable steps");
     let max_dev = replay
         .sys

@@ -26,10 +26,8 @@ fn main() {
     for setup in [sphynx(), changa(), sphflow(), miniapp()] {
         let cfg = SquarePatchConfig { nx, nz: nx, gamma: setup.sph.gamma, ..Default::default() };
         let sys = square_patch(&cfg);
-        let mut sim = sph_exa_repro::exa::SimulationBuilder::new(sys)
-            .config(setup.sph)
-            .build()
-            .expect("valid");
+        let mut sim =
+            sph_exa_repro::exa::DistributedSimulation::new(sys, setup.sph, 1).expect("valid");
         let start = std::time::Instant::now();
         let report = sim.step().expect("stable step");
         let wall = start.elapsed().as_secs_f64();

@@ -7,7 +7,7 @@
 
 use sph_exa_repro::core::config::SphConfig;
 use sph_exa_repro::core::ParticleSystem;
-use sph_exa_repro::exa::Simulation;
+use sph_exa_repro::exa::DistributedSimulation;
 use sph_exa_repro::math::{Aabb, Periodicity, SplitMix64, Vec3};
 
 fn main() {
@@ -32,9 +32,10 @@ fn main() {
     );
 
     // 2. Configure the mini-app (defaults = M4 spline, kernel-derivative
-    //    gradients, global time-stepping — one cell of Table 2).
+    //    gradients, global time-stepping — one cell of Table 2) on a
+    //    single rank.
     let config = SphConfig { target_neighbors: 60, ..Default::default() };
-    let mut sim = Simulation::new(system, config).expect("valid configuration");
+    let mut sim = DistributedSimulation::new(system, config, 1).expect("valid configuration");
 
     // 3. Run and report.
     let initial = sim.conservation();
@@ -60,5 +61,5 @@ fn main() {
         final_c.kinetic_energy,
         final_c.energy_drift(&initial)
     );
-    println!("{}", sim.timers().report());
+    println!("{}", sim.aggregate_timers().report());
 }

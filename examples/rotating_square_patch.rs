@@ -11,7 +11,7 @@
 //! is used for: angular-momentum conservation, the negative-pressure
 //! fraction driving the tensile instability, and density scatter.
 
-use sph_exa_repro::exa::SimulationBuilder;
+use sph_exa_repro::exa::DistributedSimulation;
 use sph_exa_repro::math::Vec3;
 use sph_exa_repro::parents::sphflow;
 use sph_exa_repro::scenarios::{square_patch, SquarePatchConfig};
@@ -31,7 +31,7 @@ fn main() {
         setup.name
     );
 
-    let mut sim = SimulationBuilder::new(sys).config(setup.sph).build().expect("valid setup");
+    let mut sim = DistributedSimulation::new(sys, setup.sph, 1).expect("valid setup");
     let c0 = sim.conservation();
     let axis = Vec3::new(cfg.side / 2.0, cfg.side / 2.0, 0.0);
     let lz0 = angular_momentum_z(&sim, axis);
@@ -43,7 +43,7 @@ fn main() {
     let p_back = cfg.background_pressure * cfg.rho0 * cfg.omega * cfg.omega * cfg.side * cfg.side;
     println!("\nstep     dt       time     Lz/Lz0    P<Pback    max|ρ-ρ0|/ρ0");
     for step in 1..=20 {
-        sim.step().expect("stable step");
+        let report = sim.step().expect("stable step");
         let neg_p = sim.sys.p.iter().filter(|&&p| p < p_back).count() as f64 / sim.sys.len() as f64;
         let max_drho =
             sim.sys.rho.iter().map(|&r| (r - cfg.rho0).abs() / cfg.rho0).fold(0.0, f64::max);
@@ -51,7 +51,7 @@ fn main() {
         if step % 2 == 0 {
             println!(
                 "{step:4}  {:8.2e}  {:7.4}  {:8.5}  {:9.4}  {:12.4}",
-                sim.dt_report(),
+                report.dt,
                 sim.sys.time,
                 lz / lz0,
                 neg_p,
@@ -71,7 +71,7 @@ fn main() {
     );
 }
 
-fn angular_momentum_z(sim: &sph_exa_repro::exa::Simulation, axis: Vec3) -> f64 {
+fn angular_momentum_z(sim: &DistributedSimulation, axis: Vec3) -> f64 {
     let sys = &sim.sys;
     (0..sys.len())
         .map(|i| {
@@ -79,20 +79,4 @@ fn angular_momentum_z(sim: &sph_exa_repro::exa::Simulation, axis: Vec3) -> f64 {
             sys.m[i] * (d.x * sys.v[i].y - d.y * sys.v[i].x)
         })
         .sum()
-}
-
-/// Tiny helper trait so the example can show the last dt.
-trait DtReport {
-    fn dt_report(&self) -> f64;
-}
-
-impl DtReport for sph_exa_repro::exa::Simulation {
-    fn dt_report(&self) -> f64 {
-        // The simulation exposes time and step count; derive a mean dt.
-        if self.sys.step_count > 0 {
-            self.sys.time / self.sys.step_count as f64
-        } else {
-            0.0
-        }
-    }
 }

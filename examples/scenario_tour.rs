@@ -1,5 +1,5 @@
 //! Tour of the scenario engine: list the registry, then run one
-//! workload end-to-end through both step drivers and validate it.
+//! workload end-to-end on one and on two ranks and validate it.
 //!
 //! ```text
 //! cargo run --release --example scenario_tour                # default: sod
@@ -8,9 +8,7 @@
 //! ```
 
 use sph_exa_repro::core::diagnostics::state_fingerprint;
-use sph_exa_repro::scenarios::{
-    run_scenario, DriverKind, Resolution, RunOptions, ScenarioRegistry,
-};
+use sph_exa_repro::scenarios::{run_scenario, Resolution, RunOptions, ScenarioRegistry};
 
 fn main() {
     let registry = ScenarioRegistry::builtin();
@@ -25,12 +23,8 @@ fn main() {
         std::process::exit(2);
     });
 
-    let opts = RunOptions {
-        resolution: Resolution { scale },
-        driver: DriverKind::Single,
-        ..Default::default()
-    };
-    println!("running `{}` (scale {scale}) on the single-rank driver…", sc.name());
+    let opts = RunOptions { resolution: Resolution { scale }, ..Default::default() };
+    println!("running `{}` (scale {scale}) on a single rank…", sc.name());
     let run = run_scenario(sc, &opts).expect("scenario runs");
     let report = sc.validate(&run);
     println!("{}", report.to_json());
@@ -42,15 +36,13 @@ fn main() {
         if report.passed { "PASS" } else { "FAIL" }
     );
 
-    // The same workload through the multi-rank driver is bit-identical.
-    println!("re-running on the 2-rank distributed driver…");
-    let dist =
-        run_scenario(sc, &RunOptions { driver: DriverKind::Distributed { nranks: 2 }, ..opts })
-            .expect("distributed run");
+    // The same workload on two ranks is bit-identical.
+    println!("re-running on 2 ranks…");
+    let dist = run_scenario(sc, &RunOptions { nranks: 2, ..opts }).expect("2-rank run");
     assert_eq!(
         state_fingerprint(&run.sys),
         state_fingerprint(&dist.sys),
-        "drivers must agree bit-for-bit"
+        "rank counts must agree bit-for-bit"
     );
     println!("single-rank and 2-rank states are bit-identical ✓");
 }

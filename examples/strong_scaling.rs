@@ -13,7 +13,7 @@ use sph_exa_repro::cluster::scaling::render_scaling_table;
 use sph_exa_repro::cluster::{
     marenostrum4, piz_daint, scaling_experiment, ScalingConfig, StepModelConfig,
 };
-use sph_exa_repro::exa::SimulationBuilder;
+use sph_exa_repro::exa::DistributedSimulation;
 use sph_exa_repro::parents::{sphflow, Scenario};
 use sph_exa_repro::scenarios::{square_patch, SquarePatchConfig};
 
@@ -28,7 +28,7 @@ fn main() {
 
     for machine in [piz_daint(), marenostrum4()] {
         let sys = square_patch(&cfg);
-        let mut sim = SimulationBuilder::new(sys).config(setup.sph).build().expect("valid");
+        let mut sim = DistributedSimulation::new(sys, setup.sph, 1).expect("valid");
         let model = StepModelConfig {
             partitioner: setup.partitioner,
             balancing: setup.balancing,

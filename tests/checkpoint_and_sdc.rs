@@ -2,7 +2,7 @@
 //! bit-exact resume, corruption detection across module boundaries.
 
 use sph_exa_repro::core::config::SphConfig;
-use sph_exa_repro::exa::Simulation;
+use sph_exa_repro::exa::{DistributedBuilder, DistributedSimulation};
 use sph_exa_repro::ft::checkpoint::{CheckpointStore, DiskStore, MemoryStore};
 use sph_exa_repro::ft::sdc::{ChecksumDetector, SdcDetector, SdcInjector};
 use sph_exa_repro::scenarios::{evrard_collapse, square_patch, EvrardConfig, SquarePatchConfig};
@@ -15,14 +15,16 @@ fn small_config() -> SphConfig {
 fn restart_is_bit_exact_for_the_square_patch() {
     let cfg = SquarePatchConfig { nx: 10, nz: 10, ..Default::default() };
     let sph = SphConfig { gamma: cfg.gamma, ..small_config() };
-    let mut original = Simulation::new(square_patch(&cfg), sph).unwrap();
+    let mut original = DistributedSimulation::new(square_patch(&cfg), sph, 1).unwrap();
     original.run(2).expect("stable steps");
 
     let mut store = MemoryStore::new();
     store.save("mid", &original.sys).unwrap();
     original.run(3).expect("stable steps");
 
-    let mut replay = Simulation::resume(store.restore("mid").unwrap(), sph).unwrap();
+    let mut replay =
+        DistributedSimulation::resume(store.restore("mid").unwrap(), sph, None, Default::default())
+            .unwrap();
     replay.run(3).expect("stable steps");
 
     for i in 0..original.sys.len() {
@@ -38,7 +40,7 @@ fn restart_is_bit_exact_for_the_square_patch() {
 fn restart_is_bit_exact_with_gravity() {
     let setup = sph_exa_repro::parents::sphynx();
     let cfg = EvrardConfig { n_target: 1500, ..Default::default() };
-    let mut original = sph_exa_repro::exa::SimulationBuilder::new(evrard_collapse(&cfg))
+    let mut original = DistributedBuilder::new(evrard_collapse(&cfg))
         .config(setup.sph)
         .gravity(setup.gravity.unwrap())
         .build()
@@ -48,10 +50,11 @@ fn restart_is_bit_exact_with_gravity() {
     store.save("mid", &original.sys).unwrap();
     original.run(2).expect("stable steps");
 
-    let mut replay = Simulation::resume_with_gravity(
+    let mut replay = DistributedSimulation::resume(
         store.restore("mid").unwrap(),
         setup.sph,
-        setup.gravity.unwrap(),
+        setup.gravity,
+        Default::default(),
     )
     .unwrap();
     replay.run(2).expect("stable steps");
@@ -65,7 +68,7 @@ fn disk_checkpoints_survive_process_boundaries() {
     let dir = std::env::temp_dir().join(format!("sphexa-it-{}", std::process::id()));
     let cfg = SquarePatchConfig { nx: 8, nz: 8, ..Default::default() };
     let sph = SphConfig { gamma: cfg.gamma, ..small_config() };
-    let mut sim = Simulation::new(square_patch(&cfg), sph).unwrap();
+    let mut sim = DistributedSimulation::new(square_patch(&cfg), sph, 1).unwrap();
     sim.run(1).expect("stable steps");
     {
         let mut store = DiskStore::new(&dir).unwrap();
@@ -84,7 +87,7 @@ fn disk_checkpoints_survive_process_boundaries() {
 fn injected_corruption_is_always_caught_by_the_checksum() {
     let cfg = SquarePatchConfig { nx: 8, nz: 8, ..Default::default() };
     let sph = SphConfig { gamma: cfg.gamma, ..small_config() };
-    let mut sim = Simulation::new(square_patch(&cfg), sph).unwrap();
+    let mut sim = DistributedSimulation::new(square_patch(&cfg), sph, 1).unwrap();
     sim.run(1).expect("stable steps");
     for seed in 0..20 {
         let mut det = ChecksumDetector::new();
@@ -100,7 +103,7 @@ fn injected_corruption_is_always_caught_by_the_checksum() {
 fn corrupted_checkpoint_cannot_be_restored_silently() {
     let cfg = SquarePatchConfig { nx: 8, nz: 8, ..Default::default() };
     let sph = SphConfig { gamma: cfg.gamma, ..small_config() };
-    let sim = Simulation::new(square_patch(&cfg), sph).unwrap();
+    let sim = DistributedSimulation::new(square_patch(&cfg), sph, 1).unwrap();
     let bytes = sph_exa_repro::ft::codec::encode(&sim.sys);
     // Flip every 997th byte in turn; decode must refuse each time.
     for k in (0..bytes.len()).step_by(997) {

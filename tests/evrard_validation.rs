@@ -1,7 +1,7 @@
 //! Integration: the Evrard collapse (§5.1) under the astrophysics
 //! configurations — self-gravity, energy ledger, collapse dynamics.
 
-use sph_exa_repro::exa::SimulationBuilder;
+use sph_exa_repro::exa::DistributedBuilder;
 use sph_exa_repro::parents::{changa, sphynx};
 use sph_exa_repro::scenarios::evrard::evrard_gravitational_energy;
 use sph_exa_repro::scenarios::{evrard_collapse, EvrardConfig};
@@ -16,13 +16,12 @@ fn measured_potential_matches_analytic_profile() {
     // finite softened particle realisation must land within a few percent.
     let setup = sphynx();
     let sys = build(4000);
-    let mut sim = SimulationBuilder::new(sys)
+    let mut sim = DistributedBuilder::new(sys)
         .config(setup.sph)
         .gravity(setup.gravity.unwrap())
         .build()
         .unwrap();
-    let all: Vec<u32> = (0..sim.sys.len() as u32).collect();
-    sim.evaluate_derivatives(&all);
+    sim.evaluate_derivatives().expect("in-process evaluation");
     let c = sim.conservation();
     let w_analytic = evrard_gravitational_energy(1.0, 1.0, 1.0);
     let rel = ((c.gravitational_energy - w_analytic) / w_analytic).abs();
@@ -37,7 +36,7 @@ fn measured_potential_matches_analytic_profile() {
 fn cold_cloud_collapses_and_conserves_energy() {
     let setup = sphynx();
     let sys = build(3000);
-    let mut sim = SimulationBuilder::new(sys)
+    let mut sim = DistributedBuilder::new(sys)
         .config(setup.sph)
         .gravity(setup.gravity.unwrap())
         .build()
@@ -61,7 +60,7 @@ fn cold_cloud_collapses_and_conserves_energy() {
 fn central_density_grows_during_collapse() {
     let setup = sphynx();
     let sys = build(4000);
-    let mut sim = SimulationBuilder::new(sys)
+    let mut sim = DistributedBuilder::new(sys)
         .config(setup.sph)
         .gravity(setup.gravity.unwrap())
         .build()
@@ -83,7 +82,7 @@ fn changa_runs_evrard_with_block_timesteps() {
     // multi-time-stepping advantage behind Fig. 2b.
     let setup = changa();
     let sys = build(3000);
-    let mut sim = SimulationBuilder::new(sys)
+    let mut sim = DistributedBuilder::new(sys)
         .config(setup.sph)
         .gravity(setup.gravity.unwrap())
         .build()

@@ -1,18 +1,18 @@
 //! Smoke test of the `sph_exa_repro` facade: the re-exported workspace
 //! crates must be sufficient to build a simulation through
-//! `SimulationBuilder`, run a step, and read finite conservation
+//! `DistributedBuilder`, run a step, and read finite conservation
 //! diagnostics — the minimal "the umbrella crate works" guarantee every
 //! example relies on.
 
 use sph_exa_repro::core::diagnostics::Conservation;
-use sph_exa_repro::exa::SimulationBuilder;
+use sph_exa_repro::exa::DistributedBuilder;
 use sph_exa_repro::math::Vec3;
 use sph_exa_repro::scenarios::{square_patch, SquarePatchConfig};
 
 #[test]
 fn facade_builds_a_simulation_and_steps_it() {
     let ic = square_patch(&SquarePatchConfig { nx: 8, nz: 8, ..SquarePatchConfig::default() });
-    let mut sim = SimulationBuilder::new(ic).build().expect("builder must produce a simulation");
+    let mut sim = DistributedBuilder::new(ic).build().expect("builder must produce a simulation");
 
     let before = Conservation::measure(&sim.sys, None);
     assert!(before.total_energy().is_finite());

@@ -28,21 +28,21 @@ fn rows_for(setup: &CodeSetup, scenario: Scenario) -> Vec<sph_exa_repro::cluster
 mod sph_bench_helpers {
     use super::*;
     use sph_exa_repro::core::config::SphConfig;
-    use sph_exa_repro::exa::{Simulation, SimulationBuilder};
+    use sph_exa_repro::exa::{DistributedBuilder, DistributedSimulation};
     use sph_exa_repro::scenarios::{
         evrard_collapse, square_patch, EvrardConfig, SquarePatchConfig,
     };
 
-    pub fn square(setup: &CodeSetup, n: usize) -> Simulation {
+    pub fn square(setup: &CodeSetup, n: usize) -> DistributedSimulation {
         let nx = (n as f64).cbrt().round() as usize;
         let cfg = SquarePatchConfig { nx, nz: nx, gamma: setup.sph.gamma, ..Default::default() };
         let sph = SphConfig { gamma: cfg.gamma, ..setup.sph };
-        SimulationBuilder::new(square_patch(&cfg)).config(sph).build().unwrap()
+        DistributedBuilder::new(square_patch(&cfg)).config(sph).build().unwrap()
     }
 
-    pub fn evrard(setup: &CodeSetup, n: usize) -> Simulation {
+    pub fn evrard(setup: &CodeSetup, n: usize) -> DistributedSimulation {
         let cfg = EvrardConfig { n_target: n, ..Default::default() };
-        SimulationBuilder::new(evrard_collapse(&cfg))
+        DistributedBuilder::new(evrard_collapse(&cfg))
             .config(setup.sph)
             .gravity(setup.gravity.expect("gravity"))
             .build()

@@ -1,6 +1,6 @@
-//! Integration: the scenario engine — registry contract, generic runner
-//! over both drivers, single-vs-distributed bit identity for *every*
-//! registered workload, and the validation-report machinery.
+//! Integration: the scenario engine — registry contract, the runner at
+//! any rank count, nranks {2, 4} vs 1 bit identity for *every* registered
+//! workload, and the validation-report machinery.
 //!
 //! Heavy accuracy validation (shock radius vs Sedov, L1 vs the exact
 //! Riemann solution, …) runs at full resolution in the release-mode
@@ -8,18 +8,16 @@
 //! the *engine contract* at CI-debug-sized resolutions.
 
 use sph_exa_repro::core::diagnostics::state_fingerprint;
-use sph_exa_repro::scenarios::{
-    run_scenario, DriverKind, Resolution, RunOptions, ScenarioRegistry,
-};
+use sph_exa_repro::scenarios::{run_scenario, Resolution, RunOptions, ScenarioRegistry};
 
 /// Small enough for debug-mode runs, large enough that every scenario
 /// builds a meaningful 3-D particle set.
 const TINY: Resolution = Resolution { scale: 0.375 };
 
-fn quick(driver: DriverKind) -> RunOptions {
+fn quick(nranks: usize) -> RunOptions {
     RunOptions {
         resolution: TINY,
-        driver,
+        nranks,
         end_time: Some(f64::INFINITY),
         max_steps: 2,
         sample_every: 1,
@@ -75,23 +73,23 @@ fn every_scenario_inits_deterministically_and_validates_its_config() {
 }
 
 #[test]
-fn every_scenario_runs_bit_identically_on_both_drivers() {
+fn every_scenario_runs_bit_identically_at_any_rank_count() {
     // The acceptance criterion of the scenario engine: for every
-    // registered workload, `Simulation` and `DistributedSimulation`
-    // (nranks 1 and 2) produce the bit-identical particle state.
+    // registered workload, nranks 2 and 4 produce the bit-identical
+    // particle state of the single-rank run.
     let reg = ScenarioRegistry::builtin();
     for sc in reg.iter() {
-        let single = run_scenario(sc, &quick(DriverKind::Single))
-            .unwrap_or_else(|e| panic!("{}: single-driver run failed: {e}", sc.name()));
+        let single = run_scenario(sc, &quick(1))
+            .unwrap_or_else(|e| panic!("{}: single-rank run failed: {e}", sc.name()));
         assert_eq!(single.steps, 2, "{}", sc.name());
         let want = state_fingerprint(&single.sys);
-        for nranks in [1usize, 2] {
-            let dist = run_scenario(sc, &quick(DriverKind::Distributed { nranks }))
+        for nranks in [2usize, 4] {
+            let dist = run_scenario(sc, &quick(nranks))
                 .unwrap_or_else(|e| panic!("{}: {nranks}-rank run failed: {e}", sc.name()));
             assert_eq!(
                 state_fingerprint(&dist.sys),
                 want,
-                "{}: {nranks}-rank run diverged from the single-rank driver",
+                "{}: {nranks}-rank run diverged from the single-rank run",
                 sc.name()
             );
             // Conservation diagnostics agree bit-for-bit too.
@@ -109,7 +107,7 @@ fn every_scenario_runs_bit_identically_on_both_drivers() {
 fn validation_reports_are_well_formed() {
     let reg = ScenarioRegistry::builtin();
     for sc in reg.iter() {
-        let run = run_scenario(sc, &quick(DriverKind::Single)).expect("run");
+        let run = run_scenario(sc, &quick(1)).expect("run");
         let report = sc.validate(&run);
         assert_eq!(report.scenario, sc.name());
         assert_eq!(report.n_particles, run.sys.len());
@@ -150,7 +148,7 @@ fn runner_samples_the_tracked_diagnostic() {
     // Gresho tracks peak-band v_φ: with sample_every = 1 a 2-step run
     // yields the t = 0 sample plus one per step.
     let sc = reg.get("gresho").unwrap();
-    let run = run_scenario(sc, &quick(DriverKind::Single)).unwrap();
+    let run = run_scenario(sc, &quick(1)).unwrap();
     assert!(run.samples.len() >= 3, "expected ≥ 3 samples, got {}", run.samples.len());
     assert!(run.samples.windows(2).all(|w| w[1].time > w[0].time));
 }

@@ -2,7 +2,7 @@
 //! configuration and behaves like the Colagrossi test should.
 
 use sph_exa_repro::core::diagnostics::Conservation;
-use sph_exa_repro::exa::SimulationBuilder;
+use sph_exa_repro::exa::DistributedBuilder;
 use sph_exa_repro::math::Vec3;
 use sph_exa_repro::parents::{changa, sphflow, sphynx};
 use sph_exa_repro::scenarios::{square_patch, SquarePatchConfig};
@@ -15,7 +15,7 @@ fn patch(nx: usize, gamma: f64) -> sph_exa_repro::core::ParticleSystem {
 fn all_three_parent_configs_step_the_square_patch() {
     for setup in [sphynx(), changa(), sphflow()] {
         let sys = patch(12, setup.sph.gamma);
-        let mut sim = SimulationBuilder::new(sys)
+        let mut sim = DistributedBuilder::new(sys)
             .config(setup.sph)
             .build()
             .unwrap_or_else(|e| panic!("{}: {e}", setup.name));
@@ -39,7 +39,7 @@ fn angular_momentum_is_conserved_over_many_steps() {
             })
             .sum()
     };
-    let mut sim = SimulationBuilder::new(sys).config(setup.sph).build().unwrap();
+    let mut sim = DistributedBuilder::new(sys).config(setup.sph).build().unwrap();
     let lz0 = lz(&sim.sys);
     assert!(lz0.abs() > 1e-3, "the patch must actually rotate");
     sim.run(10).expect("stable steps");
@@ -55,9 +55,8 @@ fn rotation_is_recognised_as_pure_shear() {
     let setup = sphynx();
     let sys = patch(16, setup.sph.gamma);
     let omega = 5.0;
-    let mut sim = SimulationBuilder::new(sys).config(setup.sph).build().unwrap();
-    let all: Vec<u32> = (0..sim.sys.len() as u32).collect();
-    sim.evaluate_derivatives(&all);
+    let mut sim = DistributedBuilder::new(sys).config(setup.sph).build().unwrap();
+    sim.evaluate_derivatives().expect("in-process evaluation");
     let mut checked = 0;
     for i in 0..sim.sys.len() {
         let p = sim.sys.x[i];
@@ -83,7 +82,7 @@ fn twenty_step_run_stays_physical() {
     // Table 5: "Simulation Length: 20 time-steps" — the acceptance run.
     let setup = sphflow();
     let sys = patch(10, setup.sph.gamma);
-    let mut sim = SimulationBuilder::new(sys).config(setup.sph).build().unwrap();
+    let mut sim = DistributedBuilder::new(sys).config(setup.sph).build().unwrap();
     let c0 = Conservation::measure(&sim.sys, None);
     let reports = sim.run(20).expect("stable steps");
     assert_eq!(reports.len(), 20);

@@ -6,7 +6,7 @@ use sph_exa_repro::cluster::{
     model_step, piz_daint, CostModel, LoadBalancing, Partitioner, StepModelConfig, StepWorkload,
 };
 use sph_exa_repro::core::config::SphConfig;
-use sph_exa_repro::exa::SimulationBuilder;
+use sph_exa_repro::exa::DistributedBuilder;
 use sph_exa_repro::parents::features::{table1, table2, table3, table4};
 use sph_exa_repro::parents::{render_table, sphynx};
 use sph_exa_repro::profiler::{pop_metrics, render_gantt, WorkerState};
@@ -16,7 +16,7 @@ fn modelled_timing(ranks: usize, balancing: LoadBalancing) -> sph_exa_repro::clu
     let setup = sphynx();
     let cfg = EvrardConfig { n_target: 2500, ..Default::default() };
     let sph = SphConfig { target_neighbors: 50, ..setup.sph };
-    let mut sim = SimulationBuilder::new(evrard_collapse(&cfg))
+    let mut sim = DistributedBuilder::new(evrard_collapse(&cfg))
         .config(sph)
         .gravity(setup.gravity.unwrap())
         .build()
